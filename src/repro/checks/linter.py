@@ -20,8 +20,9 @@ Rule scoping is path-based (mirroring where each contract applies):
 * SHM001/RES001 everywhere — shared-memory segments and process/
   socket-holding resources leak identically from any layer;
 * OWN001 everywhere except ``model/shm.py`` (the ownership layer
-  itself): the only sanctioned slab writers are the pool worker block
-  functions and the ``letkf_runner`` shards.
+  itself): the only sanctioned slab writers are the pool's two block
+  functions, which run in the worker that was dealt the block and, in
+  crash recovery, in the parent under an audited reclaim.
 
 Suppression: ``# reprolint: ok CODE[,CODE...] <reason>`` on the
 offending statement (any of its physical lines) or on the line directly
@@ -269,7 +270,7 @@ _RES_CTORS = {
 _RES_RELEASE_METHODS = {"close", "aclose", "shutdown", "terminate"}
 _SHM_CTOR = "multiprocessing.shared_memory.SharedMemory"
 #: the only functions allowed to write into shared slab/arena blocks
-_OWN_SANCTIONED = {"_pool_worker", "letkf_runner"}
+_OWN_SANCTIONED = {"_integrate_block", "_transform_block"}
 
 
 def _terminal_ident(node: ast.AST) -> str | None:
@@ -901,8 +902,7 @@ class _Linter:
                             t, "OWN001",
                             f"'{fn.name}' writes into a shared slab/arena "
                             "block but is not a sanctioned owner "
-                            "(worker block functions and letkf_runner "
-                            "shards only)",
+                            "(the pool's block functions only)",
                         )
             elif isinstance(node, ast.AugAssign) and isinstance(
                 node.target, ast.Subscript
@@ -912,8 +912,7 @@ class _Linter:
                         node.target, "OWN001",
                         f"'{fn.name}' writes into a shared slab/arena "
                         "block but is not a sanctioned owner "
-                        "(worker block functions and letkf_runner "
-                        "shards only)",
+                        "(the pool's block functions only)",
                     )
 
 

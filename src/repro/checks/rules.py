@@ -150,10 +150,11 @@ RULES: dict[str, Rule] = {
             summary="write to a shared slab/arena block outside the "
             "designated owner",
             hint=(
-                "shared-memory blocks have exactly one writer per handoff "
-                "(worker block functions and letkf_runner shards): move the "
-                "write into the owning worker, or annotate the documented "
-                "recovery path with '# reprolint: ok OWN001 <reason>'"
+                "shared-memory blocks have exactly one writer per handoff, "
+                "the pool's block function for the op (_integrate_block, "
+                "_transform_block), in the worker or, for a dead worker's "
+                "block, in the parent under hoff.reclaim: move the write "
+                "into the block function"
             ),
         ),
     )

@@ -11,14 +11,18 @@ This module reproduces that execution shape on the virtual MPI:
 1. the analysis variables are flattened to (m, npoints) and transposed
    member-major -> gridpoint-shard via :class:`ParallelTransport` (or
    :class:`FileTransport` for the pre-innovation baseline);
-2. each virtual rank runs the batched LETKF transform on its shard;
+2. each virtual rank analyses the mesh columns it owns, by calling
+   ``LETKFSolver.analyze(..., columns=(lo, hi))`` — the one LETKF chunk
+   kernel (:mod:`repro.letkf.solver`), column-partitioned here where
+   the process pool row-partitions it
+   (:meth:`~repro.core.backends.ProcessesBackend.letkf_runner`);
 3. shards are gathered back and unpacked.
 
-The result is bit-compatible with the serial
-:class:`~repro.letkf.solver.LETKFSolver` (asserted in the tests), and
-the returned report carries the measured + simulated communication
-costs, so the I/O ablation can be run end-to-end through a real
-analysis rather than a bare transpose.
+The result is bit-identical to the serial solver with
+``obs_compaction=False`` (asserted in the tests), and the returned
+report carries the measured + simulated communication costs, so the I/O
+ablation can be run end-to-end through a real analysis rather than a
+bare transpose.
 """
 
 from __future__ import annotations
@@ -29,10 +33,14 @@ import numpy as np
 
 from ..config import LETKFConfig
 from ..grid import Grid
-from ..letkf.core import letkf_transform
 from ..letkf.qc import GriddedObservations
 from ..letkf.solver import LETKFSolver
-from .datatransfer import FileTransport, ParallelTransport, TransferReport
+from .datatransfer import (
+    FileTransport,
+    ParallelTransport,
+    TransferReport,
+    _split_bounds,
+)
 
 __all__ = ["DistributedLETKF", "DistributedReport"]
 
@@ -76,9 +84,8 @@ class DistributedLETKF:
             self.transport = FileTransport(workdir=workdir)
         else:
             raise ValueError(f"unknown transport {transport!r}")
-        # the serial solver supplies the shared machinery (stencil, QC,
-        # gather); ranks reuse its private helpers on their own shards
-        self._serial = LETKFSolver(grid, config)
+        #: the one solver every rank runs, on its own column range
+        self.solver = LETKFSolver(grid, config)
 
     # ------------------------------------------------------------------
 
@@ -96,15 +103,9 @@ class DistributedLETKF:
         production decomposition does.
         """
         g = self.grid
-        cfg = self.config
         var_names = list(ensemble.keys())
         m = ensemble[var_names[0]].shape[0]
         nv = len(var_names)
-
-        # ---- serial preparation shared by all ranks: QC'd obs ----------
-        # (observation fields are broadcast-small compared to the
-        # ensemble; the production system replicates them too)
-        solver = self._serial
 
         # ---- forward transpose: member-major -> column shards ----------
         ens_stack = np.stack([ensemble[v] for v in var_names], axis=1)
@@ -115,44 +116,47 @@ class DistributedLETKF:
         )
         # each atomic "point" in the transpose is one column's full
         # state — the granularity keeps whole columns on one rank
-        col_size_ = nv * g.nz
+        col_size = nv * g.nz
         shards, fwd_report = self.transport.transpose(
-            flat, self.n_ranks, granularity=col_size_
+            flat, self.n_ranks, granularity=col_size
         )
         # column counts per rank from the same aligned split
-        from .datatransfer import _split_bounds
-
         bounds = _split_bounds(
-            g.ny * g.nx * col_size_, self.n_ranks, col_size_
-        ) // col_size_
+            g.ny * g.nx * col_size, self.n_ranks, col_size
+        ) // col_size
 
         # ---- per-rank analyses -------------------------------------------
         out_shards: list[np.ndarray] = []
         points_per_rank: list[int] = []
-        col_size = nv * g.nz
         for r in range(self.n_ranks):
             lo, hi = int(bounds[r]), int(bounds[r + 1])
-            n_cols = hi - lo
-            points_per_rank.append(n_cols)
-            shard = shards[r].reshape(m, n_cols, col_size)
-            if n_cols == 0:
-                out_shards.append(shard.reshape(m, -1))
+            points_per_rank.append(hi - lo)
+            if hi == lo:
+                out_shards.append(shards[r].reshape(m, -1))
                 continue
-            # rebuild this rank's (m, nv, nz, ny=1, nx=n_cols) view and
-            # run the serial machinery on the full grid but only write
-            # back this rank's columns — the localization stencil needs
-            # neighboring columns' OBSERVATIONS (replicated), never
-            # neighboring columns' STATE, so this is exact.
-            ana_cols = self._analyze_columns(
-                shard, lo, hi, var_names, observations, hxb
+            # lay the rank's columns out on the solver's mesh; the rest
+            # stays zero and is never updated or read back (observations
+            # and hxb are replicated, as in the production code)
+            mesh = np.zeros((m, nv, g.nz, g.ny * g.nx), dtype=flat.dtype)
+            mesh[..., lo:hi] = (
+                shards[r].reshape(m, hi - lo, nv, g.nz).transpose(0, 2, 3, 1)
             )
-            out_shards.append(np.ascontiguousarray(ana_cols.reshape(m, -1)))
+            ana, _ = self.solver.analyze(
+                {v: mesh[:, vi].reshape(m, g.nz, g.ny, g.nx)
+                 for vi, v in enumerate(var_names)},
+                observations, hxb, obs_compaction=False, columns=(lo, hi),
+            )
+            cols = np.stack(
+                [ana[v].reshape(m, g.nz, -1)[..., lo:hi] for v in var_names],
+                axis=1,
+            )
+            out_shards.append(cols.transpose(0, 3, 1, 2).reshape(m, -1))
 
         # ---- backward transpose: shards -> member-major ------------------
         # (transpose the concatenated shards back; same transport)
-        merged = np.concatenate([s.reshape(m, -1) for s in out_shards], axis=1)
+        merged = np.concatenate(out_shards, axis=1)
         back_shards, bwd_report = self.transport.transpose(
-            merged, self.n_ranks, granularity=col_size_
+            merged, self.n_ranks, granularity=col_size
         )
         merged_back = np.concatenate(back_shards, axis=1)
 
@@ -161,12 +165,11 @@ class DistributedLETKF:
             .transpose(0, 2, 1)
             .reshape(m, nv, g.nz, g.ny, g.nx)
         )
-        out: dict[str, np.ndarray] = {}
-        for vi, v in enumerate(var_names):
-            arr = ana_stack[:, vi]
-            if v.startswith("q"):
-                arr = np.maximum(arr, 0.0)
-            out[v] = np.ascontiguousarray(arr)
+        # (mixing ratios were already clipped to >= 0 by each rank's solve)
+        out = {
+            v: np.ascontiguousarray(ana_stack[:, vi])
+            for vi, v in enumerate(var_names)
+        }
 
         report = DistributedReport(
             n_ranks=self.n_ranks,
@@ -175,137 +178,3 @@ class DistributedLETKF:
             points_per_rank=points_per_rank,
         )
         return out, report
-
-    # ------------------------------------------------------------------
-
-    def _analyze_columns(
-        self,
-        shard: np.ndarray,
-        col_lo: int,
-        col_hi: int,
-        var_names: list[str],
-        observations: list[GriddedObservations],
-        hxb: dict[str, np.ndarray],
-    ) -> np.ndarray:
-        """Run the batched transform for one rank's columns.
-
-        ``shard`` is (m, n_cols, nv*nz). Observation gathering reuses the
-        serial solver's padded-stencil machinery over the full mesh and
-        then selects this rank's columns, mirroring the replicated-obs
-        layout of the production code.
-        """
-        g = self.grid
-        cfg = self.config
-        solver = self._serial
-        m, n_cols, col_size = shard.shape
-        nv = len(var_names)
-
-        # serial solver does QC once per call; to stay bit-compatible we
-        # run its full analyze on the full ensemble ONLY for obs-space
-        # prep... instead, gather local obs directly via its helpers:
-        from ..letkf.qc import gross_error_check
-
-        checked = []
-        for obs in observations:
-            hmean = hxb[obs.hxb_key].mean(axis=0)
-            thr = (
-                cfg.gross_error_refl_dbz
-                if obs.kind == "reflectivity"
-                else cfg.gross_error_doppler_ms
-            )
-            checked.append(gross_error_check(obs, hmean, thr))
-
-        offs = solver.stencil.offsets
-        pk = int(np.max(np.abs(offs[:, 0])))
-        pj = int(np.max(np.abs(offs[:, 1])))
-        pi = int(np.max(np.abs(offs[:, 2])))
-        pad3 = ((pk, pk), (pj, pj), (pi, pi))
-        dtype = solver.dtype
-
-        cols = np.arange(col_lo, col_hi)
-        cj = cols // g.nx
-        ci = cols % g.nx
-
-        ana_levels = np.nonzero(solver.level_mask)[0]
-        out = shard.astype(dtype).copy()
-        state = out.reshape(m, n_cols, nv, g.nz)
-
-        if len(ana_levels) == 0:
-            return out
-
-        # build local-obs arrays for (analysis levels x this rank's cols)
-        dYb_parts, d_parts, rinv_parts = [], [], []
-        for obs in checked:
-            py = np.pad(obs.values.astype(dtype), pad3)
-            pv = np.pad(obs.valid, pad3, constant_values=False)
-            ph = np.pad(hxb[obs.hxb_key].astype(dtype), ((0, 0),) + pad3)
-            no = len(offs)
-            G = len(ana_levels) * n_cols
-            y_loc = np.empty((no, len(ana_levels), n_cols), dtype=dtype)
-            v_loc = np.empty((no, len(ana_levels), n_cols), dtype=bool)
-            h_loc = np.empty((m, no, len(ana_levels), n_cols), dtype=dtype)
-            for o, (dk, dj, di) in enumerate(offs):
-                ks = ana_levels + pk + dk
-                js = cj + pj + dj
-                is_ = ci + pi + di
-                y_loc[o] = py[ks][:, js, is_]
-                v_loc[o] = pv[ks][:, js, is_]
-                h_loc[:, o] = ph[:, ks][:, :, js, is_]
-            y_flat = y_loc.reshape(no, G).T
-            v_flat = v_loc.reshape(no, G).T
-            h_flat = h_loc.reshape(m, no, G).transpose(2, 1, 0)
-            h_mean = h_flat.mean(axis=2)
-            dYb_parts.append(h_flat - h_mean[:, :, None])
-            d_parts.append(y_flat - h_mean)
-            w = solver.stencil.weights.astype(dtype) / dtype.type(obs.error_std) ** 2
-            rw = np.broadcast_to(w, (G, no)).copy()
-            rw[~v_flat] = 0.0
-            rinv_parts.append(rw)
-
-        dYb = np.concatenate(dYb_parts, axis=1)
-        d = np.concatenate(d_parts, axis=1)
-        rinv = np.concatenate(rinv_parts, axis=1)
-
-        # ---- shared compacted path: transform only the active points ----
-        # (same contract as LETKFSolver._analyze_sparse: inactive points
-        # keep the background bit-identically, active points get the
-        # assume_active transform — so the rank-local batch stays
-        # bit-compatible with the serial sparse solver)
-        has_obs = np.any(rinv > 0.0, axis=1)
-        active = np.flatnonzero(has_obs)
-        if active.size == 0:
-            return out
-        # operand-layout contract of letkf_transform: dYb and d
-        # point-major (unit inner stride) — fancy indexing alone would
-        # inherit this module's observation-major gather layouts and
-        # the transform would copy them per call
-        dYb_act = np.ascontiguousarray(dYb[active])
-        d_act = np.ascontiguousarray(d[active])
-        W = letkf_transform(
-            dYb_act,
-            d_act,
-            rinv[active],
-            backend=cfg.eigensolver,
-            rtpp_factor=cfg.rtpp_factor,
-            assume_active=True,
-        )
-
-        # apply to this rank's state at the analysis levels; G is
-        # ordered (level, col) to match W's batch order
-        sel = state[:, :, :, ana_levels]  # (m, n_cols, nv, n_lev)
-        pert = sel - sel.mean(axis=0, keepdims=True)
-        mean = sel.mean(axis=0)
-        n_lev = len(ana_levels)
-        # member-major base layout, matching the serial apply step
-        pert_g = (
-            pert.transpose(0, 2, 3, 1).reshape(m, nv, n_lev * n_cols)
-            [:, :, active].transpose(2, 1, 0)
-        )
-        xa_pert = np.einsum("gvm,gmn->gvn", pert_g, W)  # reprolint: ok LAY001 member-major base layout matches the serial apply step
-        # mean: (n_cols, nv, n_lev) -> (lev, col, nv) to match G=(lev,col)
-        mean_g = mean.transpose(2, 0, 1).reshape(n_lev * n_cols, nv)
-        xa = mean_g[active][:, :, None] + xa_pert  # (n_act, nv, m)
-        # scatter only the active points back into the shard state
-        l_idx, c_idx = np.divmod(active, n_cols)
-        state[:, c_idx, :, ana_levels[l_idx]] = xa.transpose(0, 2, 1)
-        return out

@@ -422,10 +422,6 @@ class ExecutionConfig:
     workers: Optional[int] = None
     #: LETKF/eigen hot-path dtype: ``"single"`` or ``"double"``
     precision: str = "single"
-    #: which backend the sharded backend delegates each member block
-    #: to: ``"vectorized"`` (default), ``"serial"``, or ``"processes"``
-    #: (virtual-MPI comm modelling composed with real cores)
-    sharded_inner: str = "vectorized"
     #: measured throughput of this backend relative to the serial
     #: per-member loop (fill from BENCH_cycle_throughput.json); the
     #: workflow cost model divides forecast-stage times by this
@@ -455,10 +451,6 @@ class ExecutionConfig:
         if self.precision not in ("single", "double"):
             raise ValueError(
                 f"precision must be 'single' or 'double', got {self.precision!r}"
-            )
-        if self.sharded_inner not in ("serial", "vectorized", "processes"):
-            raise ValueError(
-                f"unknown sharded inner backend {self.sharded_inner!r}"
             )
         if self.relative_throughput <= 0.0:
             raise ValueError("relative_throughput must be positive")

@@ -3,11 +3,13 @@
 The 30-second cycle spends most of its budget integrating the member
 forecasts (part <1-2> of Fig. 2). On Fugaku that work is spread over
 8008 nodes; here the same choice — how the member axis is mapped onto
-compute — is a backend object with a single method::
+compute — is a backend object with a single public method::
 
     new_state = backend.forecast(model, ensemble_state, duration)
 
-Four implementations ship:
+which brackets the subclass's ``_integrate`` step with the runtime
+array sanitizer (a no-op unless armed): the checks are a hook on the
+backend, not a wrapper around it.  Three backends supply compute:
 
 ``serial``
     Integrates one member view at a time through the model. This is the
@@ -20,24 +22,16 @@ Four implementations ship:
     is member-independent — elementwise or a stencil over the trailing
     ``(nz, ny, nx)`` axes — so the result is bit-identical to the serial
     loop while amortising Python/numpy dispatch over the ensemble.
-``sharded``
-    Splits the member axis into blocks and routes each block through the
-    virtual-MPI communicator (scatter -> integrate -> gather), modelling
-    the part <1-2> node-group decomposition and recording the traffic in
-    :class:`~repro.comm.vmpi.CommStats`.  Each block is integrated by a
-    delegate *inner* backend (composition rule: ``sharded`` models the
-    communication topology, the inner backend supplies the compute — so
-    ``ShardedBackend(inner=ProcessesBackend(...))`` runs virtual-MPI
-    accounting over real cores).
 ``processes``
     The only backend that spends real cores: a persistent pool of
-    worker processes, each long-lived worker attached once to named
-    ``multiprocessing.shared_memory`` slabs
-    (:mod:`repro.model.shm`), integrating a deterministic contiguous
-    member block in place.  Bit-identical to ``vectorized`` because
-    every worker runs the same member-independent vectorized kernels
-    over its block.  The same pool also row-shards the compacted LETKF
-    transform (:meth:`ProcessesBackend.letkf_runner`).
+    worker processes over named shared-memory slabs, bit-identical to
+    ``vectorized``.  One dispatch loop, one block function per op
+    (member blocks of the forecast, row blocks of the compacted LETKF
+    transform) — see :class:`ProcessesBackend`.
+
+and ``sharded`` models a topology: member blocks routed through the
+virtual MPI with traffic accounting, each block's compute left to a
+delegate *inner* backend — see :class:`ShardedBackend`.
 
 Backends are selected with :func:`make_backend`, which accepts a name,
 an :class:`~repro.config.ExecutionConfig`, or an already-built backend.
@@ -52,13 +46,27 @@ import queue as queue_mod
 import time
 import traceback
 import warnings
+from dataclasses import replace
 from multiprocessing import get_context, resource_tracker
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..checks.concurrency import NULL_CONCURRENCY, parent_owner, worker_owner
+from ..checks.concurrency import (
+    NULL_CONCURRENCY,
+    make_concurrency_sanitizer,
+    parent_owner,
+    worker_owner,
+)
+from ..checks.sanitizer import (
+    NULL_SANITIZER,
+    ArraySanitizer,
+    NullSanitizer,
+    make_sanitizer,
+)
 from ..comm.vmpi import CommStats, LinkModel, VirtualComm
 from ..config import ExecutionConfig
+from ..letkf.core import letkf_transform
 from ..model.ensemble_state import EnsembleState
 from ..model.shm import SharedStateSlab, state_spec
 
@@ -68,17 +76,50 @@ __all__ = [
     "VectorizedBackend",
     "ShardedBackend",
     "ProcessesBackend",
-    "SanitizedBackend",
     "make_backend",
 ]
 
 
 class ExecutionBackend:
-    """Strategy interface: advance a member-batched state by ``duration``."""
+    """Strategy interface: advance a member-batched state by ``duration``.
+
+    Subclasses implement :meth:`_integrate`; :meth:`forecast` guards it
+    with :attr:`sanitizer`.  Entry: the prognostic fields must carry
+    the grid's working dtype (the single-precision contract).  During
+    the forecast every input array is write-protected, so a kernel
+    mutating caller-owned state raises
+    :class:`~repro.checks.sanitizer.SanitizerError` instead of silently
+    corrupting the ensemble.  Exit: finite inputs must produce finite
+    outputs.  All checks are read-only, so results are bit-identical
+    with the sanitizer armed or not.
+    """
 
     name = "base"
+    #: runtime array sanitizer, armed by :func:`make_backend`; the
+    #: cycler guards the LETKF step with the same instance
+    sanitizer: ArraySanitizer | NullSanitizer = NULL_SANITIZER
+    #: drop-in for :func:`~repro.letkf.core.letkf_transform` that the
+    #: cycler installs on its solver; ``None`` = call it directly
+    letkf_runner: Callable[..., np.ndarray] | None = None
+    #: per-block timings of the most recent forecast call,
+    #: ``[{"op", "worker", "members", "seconds"}, ...]``, and of the
+    #: LETKF transforms since it (``"rows"`` for ``"members"``); empty
+    #: for the in-process backends, which run the batch as one block
+    last_timings: Sequence[dict] = ()
+    last_letkf_timings: Sequence[dict] = ()
 
     def forecast(self, model, state: EnsembleState, duration: float) -> EnsembleState:
+        san = self.sanitizer
+        fields = {f"fields.{k}": v for k, v in state.fields.items()}
+        inputs = dict(fields)
+        inputs.update({f"aux.{k}": v for k, v in state.aux.items()})
+        san.check_dtype("forecast", fields, state.grid.dtype)
+        with san.guard("forecast", inputs) as rec:
+            out = self._integrate(model, state, duration)
+        san.check_outputs(rec, {f"fields.{k}": v for k, v in out.fields.items()})
+        return out
+
+    def _integrate(self, model, state: EnsembleState, duration: float) -> EnsembleState:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -93,7 +134,7 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def forecast(self, model, state: EnsembleState, duration: float) -> EnsembleState:
+    def _integrate(self, model, state: EnsembleState, duration: float) -> EnsembleState:
         members = [
             model.integrate(state.member_view(i), duration)
             for i in range(state.n_members)
@@ -106,7 +147,7 @@ class VectorizedBackend(ExecutionBackend):
 
     name = "vectorized"
 
-    def forecast(self, model, state: EnsembleState, duration: float) -> EnsembleState:
+    def _integrate(self, model, state: EnsembleState, duration: float) -> EnsembleState:
         return model.integrate(state, duration)
 
 
@@ -140,12 +181,11 @@ class ShardedBackend(ExecutionBackend):
         #: traffic accounting of the most recent forecast call
         self.last_stats: CommStats | None = None
 
-    def forecast(self, model, state: EnsembleState, duration: float) -> EnsembleState:
+    def _integrate(self, model, state: EnsembleState, duration: float) -> EnsembleState:
         m = state.n_members
-        n = min(self.n_shards, m)
-        if n <= 1:
-            return model.integrate(state, duration)
-
+        # a single block takes the same path: rank 0 scatters to itself
+        # (zero bytes moved) and the delegate still does the compute
+        n = max(1, min(self.n_shards, m))
         comm = VirtualComm(n, self.link)
         splits = np.array_split(np.arange(m), n)
 
@@ -153,51 +193,31 @@ class ShardedBackend(ExecutionBackend):
         blocks: list[dict[str, dict[str, np.ndarray]]] = [
             {"fields": {}, "aux": {}} for _ in range(n)
         ]
-        for name, arr in state.fields.items():
-            chunks = comm.scatter([np.ascontiguousarray(arr[idx]) for idx in splits])
-            for r, chunk in enumerate(chunks):
-                blocks[r]["fields"][name] = chunk
-        for key, arr in state.aux.items():
-            chunks = comm.scatter([np.ascontiguousarray(arr[idx]) for idx in splits])
-            for r, chunk in enumerate(chunks):
-                blocks[r]["aux"][key] = chunk
+        for section, arrays in (("fields", state.fields), ("aux", state.aux)):
+            for name, arr in arrays.items():
+                chunks = comm.scatter([np.ascontiguousarray(arr[idx]) for idx in splits])
+                for r, chunk in enumerate(chunks):
+                    blocks[r][section][name] = chunk
 
         def program(rank):
-            blk = blocks[rank.rank]
-            shard = EnsembleState(
-                grid=state.grid,
-                reference=state.reference,
-                fields=blk["fields"],
-                time=state.time,
-                nsteps=state.nsteps,
-                aux=blk["aux"],
-            )
+            shard = replace(state, **blocks[rank.rank])
             return self.inner.forecast(model, shard, duration)
 
         results = comm.run(program)
 
-        # gather: reassemble the member axis in rank order
-        out_fields: dict[str, np.ndarray] = {}
-        for name in state.fields:
-            parts = comm.gather([np.ascontiguousarray(r.fields[name]) for r in results])
-            out_fields[name] = np.concatenate(parts, axis=0)
-        out_aux: dict[str, np.ndarray] = {}
-        aux_keys = set(results[0].aux)
-        for r in results[1:]:
-            aux_keys &= set(r.aux)
-        for key in sorted(aux_keys):
-            parts = comm.gather([np.ascontiguousarray(r.aux[key]) for r in results])
-            out_aux[key] = np.concatenate(parts, axis=0)
+        # gather: reassemble the member axis in rank order (of the aux
+        # keys, those every rank produced)
+        aux_keys = set.intersection(*(set(r.aux) for r in results))
+        out: dict[str, dict[str, np.ndarray]] = {"fields": {}, "aux": {}}
+        for section, keys in (("fields", list(state.fields)), ("aux", sorted(aux_keys))):
+            for key in keys:
+                parts = comm.gather(
+                    [np.ascontiguousarray(getattr(r, section)[key]) for r in results]
+                )
+                out[section][key] = np.concatenate(parts, axis=0)
 
         self.last_stats = comm.stats
-        return EnsembleState(
-            grid=state.grid,
-            reference=state.reference,
-            fields=out_fields,
-            time=results[0].time,
-            nsteps=results[0].nsteps,
-            aux=out_aux,
-        )
+        return replace(results[0], **out)
 
     def close(self) -> None:
         self.inner.close()
@@ -231,6 +251,57 @@ def _attach_cached(cache: dict[str, SharedStateSlab], manifest: dict) -> SharedS
     return slab
 
 
+def _integrate_block(model, slabs, lo: int, hi: int, *, duration: float,
+                     time: float, nsteps: int, aux_keys: list[str]) -> dict:
+    """Integrate members ``lo:hi`` of the input slab into the output slab.
+
+    Aux arrays the output slab has a slot for are written in place
+    (``slab_aux``); the rest return by value (``extra_aux``) so the
+    parent can reserve slots for them next time.
+    """
+    src, dst = slabs
+    blk = src.state(
+        model.grid, model.reference, time=time, nsteps=nsteps,
+        lo=lo, hi=hi, aux_keys=aux_keys,
+    )
+    out = model.integrate(blk, duration)
+    for k, arr in out.fields.items():
+        dst.fields[k][lo:hi] = arr
+    slab_aux: list[str] = []
+    extra: dict[str, np.ndarray] = {}
+    for k, arr in out.aux.items():
+        slot = dst.aux.get(k)
+        if slot is not None and slot[lo:hi].shape == arr.shape:
+            slot[lo:hi] = arr
+            slab_aux.append(k)
+        else:
+            extra[k] = arr
+    return {"time": out.time, "nsteps": out.nsteps,
+            "slab_aux": slab_aux, "extra_aux": extra}
+
+
+def _transform_block(model, slabs, lo: int, hi: int, *, n_obs: int, **solve_kw) -> dict:
+    """Transform rows ``lo:hi`` of the LETKF slab (no model involved).
+
+    The row slices carry the same pinned memory-layout class as the
+    solver's workspace views, so ``W`` is bit-identical to the same
+    rows of a direct call.
+    """
+    f = slabs[0].fields
+    f["W"][lo:hi] = letkf_transform(
+        f["dYb"][lo:hi, :n_obs, :], f["d"][lo:hi, :n_obs],
+        f["rinv"][lo:hi, :n_obs], assume_active=True, **solve_kw,
+    )
+    return {}
+
+
+#: pool op -> (block function, what its ``hi - lo`` counts)
+_BLOCK_OPS: dict[str, tuple[Callable[..., dict], str]] = {
+    "forecast": (_integrate_block, "members"),
+    "letkf": (_transform_block, "rows"),
+}
+
+
 def _pool_worker(worker_id: int, task_q, result_q) -> None:
     """Worker main loop.
 
@@ -241,8 +312,6 @@ def _pool_worker(worker_id: int, task_q, result_q) -> None:
     what makes member→worker assignment deterministic: block ``w``
     always lands on worker ``w``).
     """
-    from ..letkf.core import letkf_transform
-
     cache: dict[str, SharedStateSlab] = {}
     model = None
     while True:
@@ -252,52 +321,15 @@ def _pool_worker(worker_id: int, task_q, result_q) -> None:
             break
         if op == "exit":  # test hook: simulate a hard crash
             os._exit(13)
-        res: dict = {"op": op, "seq": task["seq"], "worker": worker_id, "ok": True}
+        lo, hi = task["lo"], task["hi"]
+        res: dict = {"op": op, "seq": task["seq"], "worker": worker_id,
+                     "ok": True, "lo": lo, "hi": hi}
         try:
             t0 = time.perf_counter()
-            if task.get("model") is not None:
+            if task["model"] is not None:
                 model = pickle.loads(task["model"])
-            if op == "forecast":
-                src = _attach_cached(cache, task["in"])
-                dst = _attach_cached(cache, task["out"])
-                lo, hi = task["lo"], task["hi"]
-                blk = src.state(
-                    model.grid, model.reference,
-                    time=task["time"], nsteps=task["nsteps"],
-                    lo=lo, hi=hi, aux_keys=task["aux_keys"],
-                )
-                out = model.integrate(blk, task["duration"])
-                for k, arr in out.fields.items():
-                    dst.fields[k][lo:hi] = arr
-                slab_aux: list[str] = []
-                extra: dict[str, np.ndarray] = {}
-                for k, arr in out.aux.items():
-                    slot = dst.aux.get(k)
-                    if slot is not None and slot[lo:hi].shape == arr.shape:
-                        slot[lo:hi] = arr
-                        slab_aux.append(k)
-                    else:
-                        extra[k] = arr
-                res.update(
-                    time=out.time, nsteps=out.nsteps, lo=lo, hi=hi,
-                    members=hi - lo, slab_aux=slab_aux, extra_aux=extra,
-                )
-            elif op == "letkf":
-                slab = _attach_cached(cache, task["in"])
-                lo, hi, no = task["lo"], task["hi"], task["n_obs"]
-                W = letkf_transform(
-                    slab.fields["dYb"][lo:hi, :no, :],
-                    slab.fields["d"][lo:hi, :no],
-                    slab.fields["rinv"][lo:hi, :no],
-                    backend=task["eigensolver"],
-                    rtpp_factor=task["rtpp_factor"],
-                    assume_active=True,
-                    precision=task.get("precision"),
-                )
-                slab.fields["W"][lo:hi] = W
-                res.update(lo=lo, hi=hi, rows=hi - lo)
-            elif op != "ping":
-                raise ValueError(f"unknown pool op {op!r}")
+            slabs = [_attach_cached(cache, mf) for mf in task["slabs"]]
+            res.update(_BLOCK_OPS[op][0](model, slabs, lo, hi, **task["args"]))
             res["seconds"] = time.perf_counter() - t0
         except BaseException:
             res["ok"] = False
@@ -324,9 +356,14 @@ class ProcessesBackend(ExecutionBackend):
     process runs it; ``processes`` is therefore bit-identical to
     ``vectorized`` (and ``serial``) in either precision mode.
 
-    Robustness: a worker that dies mid-task is detected, its block is
-    recomputed in the parent (identical numbers), and the worker is
-    respawned with a fresh queue.  Segments are unlinked on
+    One loop, one block function per op: :meth:`_run_blocks` deals
+    contiguous blocks of ``[0, n)`` to the workers for both ops, and
+    each op is one module-level function (:func:`_integrate_block`,
+    :func:`_transform_block`) — the only sanctioned slab writers (lint
+    rule OWN001).  Robustness: a worker that dies mid-task is detected,
+    the parent runs *the same block function* on its block (identical
+    numbers by construction), and the worker is respawned with a fresh
+    queue.  Segments are unlinked on
     :meth:`close`, at interpreter exit (``atexit``), and — if the
     parent is killed outright — by the resource tracker's crash net
     (see :mod:`repro.model.shm`).
@@ -338,11 +375,9 @@ class ProcessesBackend(ExecutionBackend):
     name = "processes"
 
     def __init__(self, n_workers: int | None = None, *,
-                 start_method: str | None = None, concurrency=None):
+                 start_method: str | None = None, concurrency=NULL_CONCURRENCY):
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be >= 1 (or None for auto)")
-        if concurrency is None:
-            concurrency = NULL_CONCURRENCY
         #: the injected concurrency sanitizer guarding block handoffs
         #: (:data:`~repro.checks.concurrency.NULL_CONCURRENCY` unless
         #: ``ExecutionConfig(concurrency_checks=True)`` armed it)
@@ -371,11 +406,7 @@ class ProcessesBackend(ExecutionBackend):
         #: aux keys (shape-tail, dtype) seen coming out of integration,
         #: so the next output slab reserves slots for them
         self._learned_aux: dict[str, tuple] = {}
-        #: per-block timings of the most recent forecast call,
-        #: ``[{"op", "worker", "members", "seconds"}, ...]`` — the
-        #: cycler merges these into the ``bda_*`` metrics
         self.last_timings: list[dict] = []
-        #: per-block timings of the most recent sharded LETKF transform
         self.last_letkf_timings: list[dict] = []
         atexit.register(self.close)
 
@@ -394,12 +425,8 @@ class ProcessesBackend(ExecutionBackend):
             daemon=True, name=f"repro-pool-{w}",
         )
         proc.start()
-        if w < len(self._procs):
-            self._task_qs[w] = tq
-            self._procs[w] = proc
-        else:
-            self._task_qs.append(tq)
-            self._procs.append(proc)
+        self._task_qs[w:w + 1] = [tq]  # replaces slot w, or appends it
+        self._procs[w:w + 1] = [proc]
         self._model_seen.discard(w)
 
     def _ensure_pool(self) -> bool:
@@ -494,7 +521,7 @@ class ProcessesBackend(ExecutionBackend):
                     f"model is not picklable ({exc!r}); the processes "
                     "backend is falling back to in-process vectorized "
                     "forecasts",
-                    RuntimeWarning, stacklevel=3,
+                    RuntimeWarning, stacklevel=4,
                 )
                 self._pickle_warned = True
         finally:
@@ -536,38 +563,85 @@ class ProcessesBackend(ExecutionBackend):
         self._letkf_slab = SharedStateSlab(spec, {})
         return self._letkf_slab
 
-    # -- dispatch/collect ----------------------------------------------
+    # -- the one pool loop ---------------------------------------------
 
-    def _collect(self, seq: int, pending: dict, fallback) -> dict:
-        """One result per pending worker; crashed blocks are recomputed
-        in the parent (bit-identical) and the worker respawned."""
-        out: dict[int, dict] = {}
-        while pending:
-            try:
-                res = self._result_q.get(timeout=0.2)
-            except queue_mod.Empty:
-                for w in list(pending):
-                    if not self._procs[w].is_alive():
+    def _run_blocks(self, op: str, n_items: int, n_blocks: int, slabs,
+                    args: dict, model=None) -> tuple[list[dict], list[dict]]:
+        """Run ``op`` over ``[0, n_items)`` in ``n_blocks`` contiguous blocks.
+
+        Block ``w`` (``np.array_split`` order) always goes to worker
+        ``w``.  ``slabs`` is what the op's block function receives; the
+        last one is the slab it writes, leased block-wise to the workers
+        for the duration.  A worker that dies is respawned and its block
+        recomputed here in the parent by the same block function
+        (bit-identical).  Returns the block results in block order and
+        their timing records
+        ``[{"op", "worker", "members" | "rows", "seconds"}]``.
+        """
+        block_fn, unit = _BLOCK_OPS[op]
+        self._seq += 1
+        seq = self._seq
+        manifests = [slab.manifest for slab in slabs]
+        pending: dict[int, tuple[int, int]] = {}
+        for w, idx in enumerate(np.array_split(np.arange(n_items), n_blocks)):
+            lo, hi = int(idx[0]), int(idx[-1]) + 1
+            ship = model is not None and w not in self._model_seen
+            self._task_qs[w].put({
+                "op": op, "seq": seq, "lo": lo, "hi": hi, "slabs": manifests,
+                "args": args, "model": self._model_blob if ship else None,
+            })
+            if ship:
+                self._model_seen.add(w)
+            pending[w] = (lo, hi)
+
+        leases = [
+            (lo, hi, worker_owner(w)) for w, (lo, hi) in pending.items()
+        ]
+        written = slabs[-1]
+        views = {f"fields.{k}": v for k, v in written.fields.items()}
+        views.update({f"aux.{k}": v for k, v in written.aux.items()})
+        done: dict[int, dict] = {}
+        with self.concurrency.handoff(written.name, views, leases) as hoff:
+            while pending:
+                try:
+                    res = self._result_q.get(timeout=0.2)
+                except queue_mod.Empty:
+                    for w in [w for w in pending if not self._procs[w].is_alive()]:
+                        # crash recovery: the parent reclaims the dead
+                        # worker's range, standing in as the block's
+                        # writer (audited by the sanitizer ledger)
                         lo, hi = pending.pop(w)
-                        out[w] = fallback(w, lo, hi)
+                        t0 = time.perf_counter()
+                        with hoff.reclaim(lo, hi, parent_owner(), steal=True):
+                            res = block_fn(model, slabs, lo, hi, **args)
+                        res.update(worker=w, lo=lo, hi=hi,
+                                   seconds=time.perf_counter() - t0)
+                        done[w] = res
                         self._respawn(w)
-                continue
-            if res.get("seq") != seq or res.get("worker") not in pending:
-                continue  # stale result from before a crash recovery
-            if not res["ok"]:
-                raise RuntimeError(
-                    f"pool worker {res['worker']} failed:\n{res.get('error')}"
-                )
-            pending.pop(res["worker"])
-            out[res["worker"]] = res
-        return out
+                    continue
+                if res.get("seq") != seq or res.get("worker") not in pending:
+                    continue  # stale result from before a crash recovery
+                if not res["ok"]:
+                    raise RuntimeError(
+                        f"pool worker {res['worker']} failed:\n{res.get('error')}"
+                    )
+                del pending[res["worker"]]
+                done[res["worker"]] = res
+        results = [done[w] for w in sorted(done)]
+        timings = [
+            {"op": op, "worker": r["worker"], unit: r["hi"] - r["lo"],
+             "seconds": r["seconds"]}
+            for r in results
+        ]
+        return results, timings
 
     # -- the forecast op -----------------------------------------------
 
-    def forecast(self, model, state: EnsembleState, duration: float) -> EnsembleState:
+    def _integrate(self, model, state: EnsembleState, duration: float) -> EnsembleState:
         m = state.n_members
         n = min(self.n_workers, m)
         self.last_timings = []
+        self.last_letkf_timings = []
         if n <= 1 or not self._ensure_pool() or not self._refresh_model(model):
             return model.integrate(state, duration)
 
@@ -580,217 +654,62 @@ class ProcessesBackend(ExecutionBackend):
         self._out_slab = self._reuse(self._out_slab, fields_spec, out_aux_spec)
         self._in_slab.load(state)
 
-        aux_keys = sorted(state.aux)
-        splits = np.array_split(np.arange(m), n)
-        self._seq += 1
-        seq = self._seq
-        pending: dict[int, tuple[int, int]] = {}
-        for w, idx in enumerate(splits):
-            lo, hi = int(idx[0]), int(idx[-1]) + 1
-            self._task_qs[w].put({
-                "op": "forecast", "seq": seq, "lo": lo, "hi": hi,
-                "duration": duration, "time": state.time,
-                "nsteps": state.nsteps, "aux_keys": aux_keys,
-                "in": self._in_slab.manifest, "out": self._out_slab.manifest,
-                "model": None if w in self._model_seen else self._model_blob,
-            })
-            self._model_seen.add(w)
-            pending[w] = (lo, hi)
-
-        guarded = {f"fields.{k}": v for k, v in self._out_slab.fields.items()}
-        guarded.update(
-            {f"aux.{k}": v for k, v in self._out_slab.aux.items()}
+        results, self.last_timings = self._run_blocks(
+            "forecast", m, n, (self._in_slab, self._out_slab),
+            {"duration": duration, "time": state.time,
+             "nsteps": state.nsteps, "aux_keys": sorted(state.aux)},
+            model=model,
         )
-        leases = [
-            (lo, hi, worker_owner(w)) for w, (lo, hi) in pending.items()
-        ]
-
-        with self.concurrency.handoff(
-            self._out_slab.name, guarded, leases
-        ) as hoff:
-
-            def fallback(w: int, lo: int, hi: int) -> dict:
-                t0 = time.perf_counter()
-                blk = self._in_slab.state(
-                    state.grid, state.reference, time=state.time,
-                    nsteps=state.nsteps, lo=lo, hi=hi, aux_keys=aux_keys,
-                )
-                out = model.integrate(blk, duration)
-                # crash-recovery block recompute: the dead worker's
-                # range is reclaimed by the parent, which stands in as
-                # the block's writer (audited by the sanitizer ledger)
-                with hoff.reclaim(lo, hi, parent_owner(), steal=True):
-                    for k, arr in out.fields.items():
-                        # reprolint: ok OWN001 crash-recovery recompute under an audited reclaim
-                        self._out_slab.fields[k][lo:hi] = arr
-                    slab_aux: list[str] = []
-                    extra: dict[str, np.ndarray] = {}
-                    for k, arr in out.aux.items():
-                        slot = self._out_slab.aux.get(k)
-                        if slot is not None and slot[lo:hi].shape == arr.shape:
-                            # reprolint: ok OWN001 crash-recovery recompute under an audited reclaim
-                            slot[lo:hi] = arr
-                            slab_aux.append(k)
-                        else:
-                            extra[k] = arr
-                return {
-                    "worker": w, "ok": True, "time": out.time,
-                    "nsteps": out.nsteps, "lo": lo, "hi": hi,
-                    "members": hi - lo, "slab_aux": slab_aux,
-                    "extra_aux": extra, "seconds": time.perf_counter() - t0,
-                }
-
-            results = self._collect(seq, pending, fallback)
-        order = sorted(results)
-        first = results[order[0]]
-
-        slab_aux_common = set(first["slab_aux"])
-        extra_common = set(first["extra_aux"])
-        for w in order[1:]:
-            slab_aux_common &= set(results[w]["slab_aux"])
-            extra_common &= set(results[w]["extra_aux"])
-
+        # aux keys every block produced: in slab slots, or by value
+        in_slab = set.intersection(*(set(r["slab_aux"]) for r in results))
+        by_value = set.intersection(*(set(r["extra_aux"]) for r in results))
         out_state = self._out_slab.state(
             state.grid, state.reference,
-            time=first["time"], nsteps=first["nsteps"],
-            aux_keys=sorted(slab_aux_common), copy=True,
+            time=results[0]["time"], nsteps=results[0]["nsteps"],
+            aux_keys=sorted(in_slab), copy=True,
         )
-        for k in sorted(extra_common):
-            parts = [results[w]["extra_aux"][k] for w in order]
+        for k in sorted(by_value):
+            parts = [res["extra_aux"][k] for res in results]
             out_state.aux[k] = np.concatenate(parts, axis=0)
             self._learned_aux[k] = (tuple(parts[0].shape[1:]), str(parts[0].dtype))
-
-        self.last_timings = [
-            {"op": "forecast", "worker": w,
-             "members": results[w]["members"],
-             "seconds": results[w]["seconds"]}
-            for w in order
-        ]
         return out_state
 
     # -- the row-sharded LETKF transform -------------------------------
 
-    def letkf_runner(self, dYb, d, rinv, *, backend: str = "kedv",
-                     rtpp_factor: float = 0.0, return_pa_trace: bool = False,
+    def letkf_runner(self, dYb, d, rinv, *, return_pa_trace: bool = False,
                      profiler=None, has_obs=None, assume_active: bool = False,
-                     precision: str | None = None):
+                     **solve_kw):
         """Drop-in for :func:`~repro.letkf.core.letkf_transform` that
         shards the active rows across the pool.
 
-        Each per-row transform is independent and the slab row slices
-        carry the same pinned memory-layout class as the solver's
-        workspace views, so the sharded result is bit-identical to the
-        direct call.  Falls back to the direct transform for small
-        batches, the dense (``has_obs``) path, the Pa-trace diagnostic
-        path, or when the pool is unavailable.
+        Each per-row transform is independent, so the sharded result is
+        bit-identical to the direct call.  Falls back to the direct
+        transform for small batches, the dense (``has_obs``) path, the
+        Pa-trace diagnostic path, or when the pool is unavailable;
+        ``solve_kw`` (``backend``, ``rtpp_factor``, ``precision``) is
+        all a row block needs.
         """
-        from ..letkf.core import letkf_transform
-
-        n_act = dYb.shape[0]
+        n_act, n_obs, m = dYb.shape
         n = min(self.n_workers, max(1, n_act // _MIN_LETKF_ROWS_PER_WORKER))
         if (return_pa_trace or not assume_active or n <= 1
                 or not self._ensure_pool()):
             return letkf_transform(
-                dYb, d, rinv, backend=backend, rtpp_factor=rtpp_factor,
-                return_pa_trace=return_pa_trace, profiler=profiler,
-                has_obs=has_obs, assume_active=assume_active,
-                precision=precision,
+                dYb, d, rinv, return_pa_trace=return_pa_trace,
+                profiler=profiler, has_obs=has_obs,
+                assume_active=assume_active, **solve_kw,
             )
 
-        _, n_obs, m = dYb.shape
         slab = self._ensure_letkf_slab(n_act, n_obs, m, dYb.dtype)
-        slab.fields["dYb"][:n_act, :n_obs] = dYb
-        slab.fields["d"][:n_act, :n_obs] = d
-        slab.fields["rinv"][:n_act, :n_obs] = rinv
-
-        self._seq += 1
-        seq = self._seq
-        splits = np.array_split(np.arange(n_act), n)
-        pending: dict[int, tuple[int, int]] = {}
-        for w, idx in enumerate(splits):
-            lo, hi = int(idx[0]), int(idx[-1]) + 1
-            self._task_qs[w].put({
-                "op": "letkf", "seq": seq, "lo": lo, "hi": hi,
-                "n_obs": n_obs, "in": slab.manifest,
-                "eigensolver": backend, "rtpp_factor": rtpp_factor,
-                "precision": precision, "model": None,
-            })
-            pending[w] = (lo, hi)
-
-        leases = [
-            (lo, hi, worker_owner(w)) for w, (lo, hi) in pending.items()
-        ]
-        with self.concurrency.handoff(slab.name, slab.fields, leases) as hoff:
-
-            def fallback(w: int, lo: int, hi: int) -> dict:
-                t0 = time.perf_counter()
-                W = letkf_transform(
-                    dYb[lo:hi], d[lo:hi], rinv[lo:hi], backend=backend,
-                    rtpp_factor=rtpp_factor, assume_active=True,
-                    precision=precision,
-                )
-                with hoff.reclaim(lo, hi, parent_owner(), steal=True):
-                    slab.fields["W"][lo:hi] = W
-                return {"worker": w, "ok": True, "lo": lo, "hi": hi,
-                        "rows": hi - lo, "seconds": time.perf_counter() - t0}
-
-            results = self._collect(seq, pending, fallback)
-        self.last_letkf_timings = [
-            {"op": "letkf", "worker": w, "rows": results[w]["rows"],
-             "seconds": results[w]["seconds"]}
-            for w in sorted(results)
-        ]
+        slab.fill({"dYb": dYb, "d": d, "rinv": rinv})
+        _, timings = self._run_blocks(
+            "letkf", n_act, n, (slab,), {"n_obs": n_obs, **solve_kw}
+        )
+        self.last_letkf_timings += timings
         return slab.fields["W"][:n_act].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ProcessesBackend(n_workers={self.n_workers}, "
                 f"start_method={self.start_method!r})")
-
-
-class SanitizedBackend(ExecutionBackend):
-    """Decorator backend arming the runtime array sanitizer.
-
-    Entry: the member-batched prognostic fields must carry the grid's
-    working dtype (the single-precision contract). During the forecast
-    every input array is write-protected, so a kernel mutating
-    caller-owned state raises
-    :class:`~repro.checks.sanitizer.SanitizerError` instead of silently
-    corrupting the ensemble. Exit: finite inputs must produce finite
-    outputs (NaN/Inf creation is trapped per kernel).
-
-    All checks are read-only, so the wrapped backend's results are
-    bit-identical to running it bare.
-    """
-
-    def __init__(self, inner: ExecutionBackend, sanitizer=None):
-        from ..checks.sanitizer import make_sanitizer
-
-        self.inner = inner
-        #: shared :class:`~repro.checks.sanitizer.ArraySanitizer`; the
-        #: cycler picks it up from here to guard the LETKF step too
-        self.sanitizer = sanitizer if sanitizer is not None else make_sanitizer(True)
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        # keep the inner name so telemetry spans are unchanged
-        return self.inner.name
-
-    def forecast(self, model, state: EnsembleState, duration: float) -> EnsembleState:
-        san = self.sanitizer
-        fields = {f"fields.{k}": v for k, v in state.fields.items()}
-        inputs = dict(fields)
-        inputs.update({f"aux.{k}": v for k, v in state.aux.items()})
-        san.check_dtype("forecast", fields, state.grid.dtype)
-        with san.guard("forecast", inputs) as rec:
-            out = self.inner.forecast(model, state, duration)
-        san.check_outputs(rec, {f"fields.{k}": v for k, v in out.fields.items()})
-        return out
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SanitizedBackend({self.inner!r})"
 
 
 def make_backend(
@@ -817,29 +736,18 @@ def make_backend(
             spec = ExecutionConfig(backend=spec)
         if not isinstance(spec, ExecutionConfig):
             raise TypeError(f"cannot build an execution backend from {spec!r}")
-        concurrency = None
-        if spec.concurrency_checks:
-            from ..checks.concurrency import make_concurrency_sanitizer
-
-            concurrency = make_concurrency_sanitizer(True)
         if spec.backend == "serial":
             backend = SerialBackend()
         elif spec.backend == "vectorized":
             backend = VectorizedBackend()
         elif spec.backend == "processes":
             backend = ProcessesBackend(
-                n_workers=spec.workers, concurrency=concurrency
+                n_workers=spec.workers,
+                concurrency=make_concurrency_sanitizer(spec.concurrency_checks),
             )
         else:
-            inner: ExecutionBackend | None = None
-            if spec.sharded_inner == "serial":
-                inner = SerialBackend()
-            elif spec.sharded_inner == "processes":
-                inner = ProcessesBackend(
-                    n_workers=spec.workers, concurrency=concurrency
-                )
-            backend = ShardedBackend(n_shards=spec.n_shards, inner=inner)
+            backend = ShardedBackend(n_shards=spec.n_shards)
 
-    if sanitize and not isinstance(backend, SanitizedBackend):
-        backend = SanitizedBackend(backend)
+    if sanitize and not backend.sanitizer.enabled:
+        backend.sanitizer = make_sanitizer(True)
     return backend

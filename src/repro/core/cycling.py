@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..checks.sanitizer import NULL_SANITIZER
 from ..config import ExecutionConfig, LETKFConfig
 from ..ingest.buffer import ADMIT, SKIP, SUBSTITUTE, WAIT, AdmissionDecision
 from ..letkf.obsope import RadarObsOperator
@@ -125,17 +124,10 @@ class DACycler:
         self.cycle_seconds = cycle_seconds
         #: execution backend for the part <1-2> member forecasts
         self.backend = make_backend(backend)
-        #: runtime array sanitizer — shared with a
-        #: :class:`~repro.core.backends.SanitizedBackend` when one was
-        #: built (``ExecutionConfig(sanitize=True)``), else the no-op
-        self.sanitizer = getattr(self.backend, "sanitizer", NULL_SANITIZER)
-        # a processes pool (possibly inside a SanitizedBackend wrapper)
-        # also row-shards the compacted LETKF transform: install its
-        # runner on the solver (bit-identical to the direct call)
-        pool = getattr(self.backend, "inner", self.backend)
-        if hasattr(pool, "letkf_runner"):
-            self.letkf.transform_runner = pool.letkf_runner
-        self._pool = pool if hasattr(pool, "last_timings") else None
+        # a processes pool also row-shards the compacted LETKF
+        # transform (bit-identical to the direct call); the in-process
+        # backends leave the hook at None
+        self.letkf.transform_runner = self.backend.letkf_runner
         #: NaN/Inf guards + rollback enabled (off = fail fast, for tests)
         self.guard = guard
         #: refilled members get this fraction of the survivors' spread
@@ -156,17 +148,6 @@ class DACycler:
 
     # -- degraded-mode helpers -------------------------------------------
 
-    @staticmethod
-    def _is_finite_state(st: ModelState) -> bool:
-        return all(bool(np.all(np.isfinite(v))) for v in st.fields.values())
-
-    def _healthy_indices(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.ensemble.state.finite_mask())[0]]
-
-    def _subset_arrays(self, idx: list[int]) -> dict[str, np.ndarray]:
-        """Analysis variables of a member subset, via the batch accessor."""
-        return self.ensemble.state.analysis_arrays(idx)
-
     def _refill_lost(self, lost: list[int], healthy: list[int]) -> None:
         """Replace lost members with survivor clones + re-inflated spread.
 
@@ -175,7 +156,7 @@ class DACycler:
         the survivors' current spread — the recovery-side analog of the
         spread maintenance the boundary perturbations provide normally.
         """
-        arrays = self._subset_arrays(healthy)
+        arrays = self.ensemble.state.analysis_arrays(healthy)
         sigma = {
             v: max(float(a.std(axis=0).mean()), 1e-8) * self.recovery_spread_factor
             for v, a in arrays.items()
@@ -270,10 +251,9 @@ class DACycler:
 
             with tracer.span("qc"):
                 if self.guard:
-                    healthy = self._healthy_indices()
-                    lost = [
-                        i for i in range(len(self.ensemble)) if i not in set(healthy)
-                    ]
+                    alive = self.ensemble.state.finite_mask()
+                    healthy = np.flatnonzero(alive).tolist()
+                    lost = np.flatnonzero(~alive).tolist()
                     self._promote_or_discard_candidate(not lost)
                     if len(healthy) < 2:
                         # catastrophic loss: the whole ensemble (or all but
@@ -321,7 +301,9 @@ class DACycler:
                         hxb = self.obsope.hxb_ensemble(batch)
                         arrays = batch.analysis_arrays()
                     with tracer.span("solver"):
-                        san = self.sanitizer
+                        # the backend's sanitizer (the no-op unless
+                        # armed) guards the LETKF step too
+                        san = self.backend.sanitizer
                         # inputs arrive in the model grid's dtype; the
                         # solver casts to its own precision-mode dtype
                         # internally (asserted at the eigensolver)
@@ -393,22 +375,16 @@ class DACycler:
                       stage="forecast", **scope).observe(t_fcst)
         tel.histogram("bda_stage_seconds", help="per-stage wall time",
                       stage="letkf", **scope).observe(t_letkf)
-        if self._pool is not None:
-            # per-block worker timings from the processes pool, merged
-            # into the same registry the stage timers live in
-            for rec in self._pool.last_timings:
-                tel.histogram(
-                    "bda_worker_block_seconds",
-                    help="per-worker member-block forecast wall time",
-                    worker=str(rec["worker"]), op=rec["op"], **scope,
-                ).observe(rec["seconds"])
-            for rec in self._pool.last_letkf_timings:
-                tel.histogram(
-                    "bda_worker_block_seconds",
-                    help="per-worker member-block forecast wall time",
-                    worker=str(rec["worker"]), op=rec["op"], **scope,
-                ).observe(rec["seconds"])
-            self._pool.last_letkf_timings = []
+        # per-block worker timings from the processes pool (none for
+        # the in-process backends), merged into the same registry the
+        # stage timers live in
+        for rec in (*self.backend.last_timings, *self.backend.last_letkf_timings):
+            tel.histogram(
+                "bda_worker_block_seconds",
+                help="per-worker block wall time (forecast member "
+                     "block or LETKF row shard)",
+                worker=str(rec["worker"]), op=rec["op"], **scope,
+            ).observe(rec["seconds"])
         if t_fcst > 0:
             tel.gauge("bda_members_per_second",
                       help="ensemble-forecast throughput", **scope).set(
@@ -509,11 +485,6 @@ class DACycler:
         for key, arr in arrays.items():
             if key.startswith("member_aux_"):
                 batch.aux[key[len("member_aux_"):]] = arr.copy()
-        if "model_pbl_tke" in arrays and "tke" not in batch.aux:
-            # legacy checkpoints carried one shared TKE array; replicate
-            # it across the member axis of the per-member layout
-            tke = np.asarray(arrays["model_pbl_tke"])
-            batch.aux["tke"] = np.repeat(tke[None], batch.n_members, axis=0)
 
         def _restore(tag: str, times) -> EnsembleState | None:
             if times is None:

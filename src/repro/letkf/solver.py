@@ -234,6 +234,7 @@ class LETKFSolver:
         sparse: bool = True,
         obs_compaction: bool = True,
         obs_budget: int | None = None,
+        columns: tuple[int, int] | None = None,
     ) -> tuple[dict[str, np.ndarray], AnalysisDiagnostics]:
         """Assimilate gridded observations into the ensemble.
 
@@ -263,6 +264,11 @@ class LETKFSolver:
             Optional hard cap on observations per point applied during
             compaction (keeps each point's highest-weight obs,
             ``argpartition`` selection).
+        columns:
+            Update only the mesh columns ``[lo, hi)`` (flat ``j * nx +
+            i``; sparse path only), the rest keep the background: one
+            rank's share of a column-partitioned analysis.  Exact — a
+            point's update reads observations, never neighbouring state.
 
         Returns
         -------
@@ -275,7 +281,8 @@ class LETKFSolver:
         m = ensemble[var_names[0]].shape[0]
 
         diag = AnalysisDiagnostics()
-        diag.n_points_total = int(np.count_nonzero(self.level_mask)) * g.ny * g.nx
+        n_cols = g.ny * g.nx if columns is None else columns[1] - columns[0]
+        diag.n_points_total = int(np.count_nonzero(self.level_mask)) * n_cols
         diag.ensemble_size_expected = cfg.ensemble_size
         diag.ensemble_size_actual = m
         if m != cfg.ensemble_size and not self._warned_ensemble_size:
@@ -325,8 +332,10 @@ class LETKFSolver:
             updated, obs_sum, obs_max = self._analyze_sparse(
                 checked, hxb, analysis, xb_mean, xb_pert,
                 ana_levels, level_chunk, m, len(var_names),
-                obs_compaction, obs_budget,
+                obs_compaction, obs_budget, columns,
             )
+        elif columns is not None:
+            raise ValueError("a column range needs the sparse path")
         else:
             updated, obs_sum, obs_max = self._analyze_dense(
                 checked, hxb, analysis, xb_mean, xb_pert,
@@ -367,6 +376,7 @@ class LETKFSolver:
         nv: int,
         obs_compaction: bool,
         obs_budget: int | None,
+        columns: tuple[int, int] | None,
     ) -> tuple[int, int, int]:
         """Compacted chunk loop; returns (updated, obs_sum, obs_max)."""
         g = self.grid
@@ -387,6 +397,12 @@ class LETKFSolver:
             idx = ws.chunk_indices(k0, G)
             v_full = np.take(ws.padded_valid, idx, out=ws.valid_chunk[:G])
             has_obs = np.any(v_full, axis=1, out=ws.has_obs[:G])
+            if columns is not None:
+                # everything downstream is compacted to the active
+                # rows, so this confines the chunk to those columns
+                per_level = has_obs.reshape(nk, g.ny * g.nx)
+                per_level[:, : columns[0]] = False
+                per_level[:, columns[1] :] = False
             active = np.flatnonzero(has_obs)
             n_act = int(active.size)
             if n_act == 0:

@@ -292,6 +292,13 @@ class SharedStateSlab:
         for k, src in state.aux.items():
             self.aux[k][sl] = src
 
+    def fill(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Copy each array into the leading corner of its same-named
+        field (which may be larger): the parent's input load before a
+        block handoff, for slabs that are not state-shaped."""
+        for k, src in arrays.items():
+            self.fields[k][tuple(slice(n) for n in src.shape)] = src
+
     def matches(self, fields_spec: Mapping, aux_spec: Mapping) -> bool:
         """Whether this slab was laid out for exactly these specs."""
         entries, _ = _layout(fields_spec, aux_spec)

@@ -14,12 +14,12 @@ def bad_augmented(state_slab, arr):
     state_slab.fields["W"][:] += arr  # positive: augmented foreign write
 
 
-def _pool_worker(slab, arr, lo, hi):
-    slab.fields["U"][lo:hi] = arr  # negative: the sanctioned worker writer
+def _integrate_block(slab, arr, lo, hi):
+    slab.fields["U"][lo:hi] = arr  # negative: the sanctioned member-block writer
 
 
-def letkf_runner(slab, w, lo, hi):
-    slab.fields["W"][lo:hi] = w  # negative: the sanctioned shard writer
+def _transform_block(slab, w, lo, hi):
+    slab.fields["W"][lo:hi] = w  # negative: the sanctioned row-block writer
 
 
 def local_copy(slab, arr):

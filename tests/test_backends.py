@@ -176,6 +176,29 @@ class TestBackendEquivalence:
         assert backend.last_stats is not None
         assert backend.last_stats.bytes_moved > 0
 
+    def test_single_shard_still_runs_through_the_delegate(self):
+        """Regression: one block used to bypass ``inner`` (a serial
+        delegate silently ran vectorized) and keep stale ``last_stats``."""
+        cfg, _, ens = tiny_ensemble(members=4)
+        model = ScaleRM(cfg)
+        views = []
+
+        class Spy(SerialBackend):
+            def _integrate(self, model, state, duration):
+                views.append(state.n_members)
+                return super()._integrate(model, state, duration)
+
+        backend = ShardedBackend(n_shards=2, inner=Spy())
+        backend.forecast(model, ens.state.copy(), 30.0)
+        assert views == [2, 2] and backend.last_stats.bytes_moved > 0
+        backend.n_shards = 1
+        out = backend.forecast(model, ens.state.copy(), 30.0)
+        assert views == [2, 2, 4]  # the delegate integrated the one block
+        assert backend.last_stats.bytes_moved == 0  # ...and nothing moved
+        ser = SerialBackend().forecast(model, ens.state.copy(), 30.0)
+        for v in ser.fields:
+            np.testing.assert_array_equal(out.fields[v], ser.fields[v])
+
     @pytest.mark.slow
     def test_seeded_multicycle_bda_bit_identical(self):
         """Whole-pipeline equivalence: forecasts + LETKF + spread injection."""

@@ -7,7 +7,7 @@ from scipy.ndimage import gaussian_filter
 from repro.comm.parallel_letkf import DistributedLETKF
 from repro.config import LETKFConfig, reduced_inner_domain
 from repro.grid import Grid
-from repro.letkf import LETKFSolver
+from repro.letkf import LETKFSolver, letkf_transform
 from repro.letkf.qc import GriddedObservations
 
 
@@ -42,16 +42,32 @@ def case():
 
 
 class TestDistributedMatchesSerial:
-    @pytest.mark.parametrize("n_ranks", [1, 3, 8])
-    def test_parallel_transport(self, case, n_ranks):
+    @pytest.mark.parametrize("n_ranks, hooked", [
+        pytest.param(1, False, id="1"),
+        pytest.param(3, False, id="3"),
+        pytest.param(8, False, id="8"),
+        pytest.param(3, True, id="3-transform_runner"),
+    ])
+    def test_parallel_transport(self, case, n_ranks, hooked):
         grid, cfg, truth, ens, obs, hxb = case
         serial, _ = LETKFSolver(grid, cfg).analyze(
             {k: v.copy() for k, v in ens.items()}, [o.copy() for o in obs], hxb
         )
         dist = DistributedLETKF(grid, cfg, n_ranks=n_ranks)
+        calls = []
+        if hooked:
+            # the ranks run the solver's own chunk kernel, so its
+            # transform hook sees every rank's transform
+            def runner(dYb, d, rinv, **kw):
+                calls.append(dYb.shape[0])
+                return letkf_transform(dYb, d, rinv, **kw)
+
+            dist.solver.transform_runner = runner
         parallel, report = dist.analyze(
             {k: v.copy() for k, v in ens.items()}, [o.copy() for o in obs], hxb
         )
+        if hooked:
+            assert len(calls) >= sum(1 for n in report.points_per_rank if n)
         for v in ens:
             assert np.allclose(serial[v], parallel[v], atol=5e-3), v
         assert report.n_ranks == n_ranks

@@ -8,7 +8,7 @@ Contracts under test, in dependency order:
 * :class:`~repro.core.backends.ProcessesBackend` — member-block
   forecasts and the row-sharded LETKF transform are bit-identical to
   the in-process backends, under both start methods, across worker
-  crashes, and composed under ``sharded``/sanitized wrappers;
+  crashes (both ops), and composed under ``sharded``;
 * ``precision`` — the single/double mode threads config → solver →
   eigensolver, and each mode is internally bit-exact;
 * the PR-1 checkpoint path round-trips shared-memory-backed states.
@@ -163,15 +163,43 @@ class TestProcessesBackend:
             assert_states_equal(out, vec)
             assert not pool._procs  # never forked
 
-    def test_worker_crash_recovers_bit_identically(self):
-        cfg, _, ens = tiny_ensemble(members=4)
-        vec = VectorizedBackend().forecast(ScaleRM(cfg), ens.state.copy(), 30.0)
-        with ProcessesBackend(2) as pool:
-            pool.forecast(ScaleRM(cfg), ens.state.copy(), 30.0)
+    @pytest.mark.parametrize("op", ["forecast", "letkf"])
+    def test_worker_crash_recovers_bit_identically(self, op):
+        """Both ops recover through the one fallback of the pool loop:
+        the parent reclaims the dead worker's block (audited by the
+        armed concurrency sanitizer) and runs the same block function."""
+        if op == "forecast":
+            cfg, _, ens = tiny_ensemble(members=4)
+            expect = VectorizedBackend().forecast(
+                ScaleRM(cfg), ens.state.copy(), 30.0
+            )
+
+            def run(pool):
+                return pool.forecast(ScaleRM(cfg), ens.state.copy(), 30.0)
+
+            check = assert_states_equal
+        else:
+            rng = np.random.default_rng(33)
+            dYb = rng.normal(size=(400, 12, 8)).astype(np.float32)
+            dYb -= dYb.mean(axis=2, keepdims=True)
+            d = rng.normal(size=(400, 12)).astype(np.float32)
+            rinv = rng.uniform(0.1, 1.0, size=(400, 12)).astype(np.float32)
+            kw = dict(rtpp_factor=0.95, assume_active=True, precision="single")
+            expect = letkf_transform(dYb, d, rinv, **kw)
+
+            def run(pool):
+                return pool.letkf_runner(dYb, d, rinv, **kw)
+
+            check = np.testing.assert_array_equal
+        with make_backend(ExecutionConfig(
+            backend="processes", workers=2, concurrency_checks=True
+        )) as pool:
+            run(pool)
             pool._task_qs[0].put({"op": "exit"})  # hard-kill worker 0
-            out = pool.forecast(ScaleRM(cfg), ens.state.copy(), 30.0)
-            assert_states_equal(out, vec)
+            check(run(pool), expect)
             assert all(p.is_alive() for p in pool._procs)  # respawned
+            assert pool.concurrency.violations == 0
+        assert not shm.live_segment_names()
 
     def test_spawn_start_method_bit_identical(self):
         cfg, _, ens = tiny_ensemble(members=4)
@@ -240,9 +268,8 @@ class TestResolutionAndComposition:
             be.close()
 
     def test_make_backend_sharded_inner(self):
-        be = make_backend(ExecutionConfig(
-            backend="sharded", n_shards=2, sharded_inner="processes", workers=2
-        ))
+        # the composition is a constructor argument, not a config knob
+        be = make_backend(ShardedBackend(n_shards=2, inner=ProcessesBackend(2)))
         try:
             assert isinstance(be, ShardedBackend)
             assert isinstance(be.inner, ProcessesBackend)
@@ -274,8 +301,8 @@ class TestResolutionAndComposition:
             ExecutionConfig(backend="processes", workers=0)
         with pytest.raises(ValueError, match="precision"):
             ExecutionConfig(precision="half")
-        with pytest.raises(ValueError, match="inner"):
-            ExecutionConfig(backend="sharded", sharded_inner="sharded")
+        with pytest.raises(TypeError, match="sharded_inner"):
+            ExecutionConfig(backend="sharded", sharded_inner="processes")
         assert ExecutionConfig(precision="single").precision_dtype() == np.float32
         assert ExecutionConfig(precision="double").precision_dtype() == np.float64
 
@@ -298,7 +325,7 @@ class TestSystemEquivalence:
                 bda.cycle()
             assert_states_equal(bda.ensemble.state, ref.ensemble.state)
             # worker block timings surfaced for the bda_* metrics merge
-            assert bda.cycler._pool is not None
+            assert len(bda.cycler.backend.last_timings) == 2
 
     def test_double_precision_mode_reaches_the_solver(self):
         with build_bda(
