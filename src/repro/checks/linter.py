@@ -13,6 +13,8 @@ Rule scoping is path-based (mirroring where each contract applies):
   fleet layer sits next to the wall-clock-exempt workflow code;
 * DTY001 in the single-precision hot paths ``letkf/`` and ``eigen/``;
 * MUT001 in kernel modules: ``model/`` and ``letkf/core.py``;
+* ROL001 where the model's periodic stencils live: ``model/`` and
+  ``grid.py``;
 * LAY001 in ``letkf_transform``-adjacent code: ``letkf/`` and
   ``comm/parallel_letkf.py``;
 * ASY001/ASY002 in the event-loop subsystems ``fleet/`` and
@@ -128,6 +130,8 @@ def _scopes(path: str) -> set[str]:
         scopes.add("dtype")
     if "model" in parts or ("letkf" in parts and name == "core.py"):
         scopes.add("kernel")
+    if "model" in parts or name == "grid.py":
+        scopes.add("roll")
     if "letkf" in parts or name == "parallel_letkf.py":
         scopes.add("layout")
     if "fleet" in parts or "serving" in parts:
@@ -379,7 +383,7 @@ class _Linter:
         visit(tree, ())
         yield from out
 
-    # -- DET001 / DET002 / DTY001 (call-shaped) -------------------------
+    # -- DET001 / DET002 / ROL001 / DTY001 (call-shaped) ----------------
 
     def _check_call(self, node: ast.Call) -> None:
         resolved = _resolve(node.func, self.aliases)
@@ -416,6 +420,13 @@ class _Linter:
                 node, "DET002",
                 f"wall-clock call {resolved}() outside telemetry/ and "
                 "workflow/",
+            )
+
+        if "roll" in self.scopes and resolved == "numpy.roll":
+            self.flag(
+                node, "ROL001",
+                "np.roll() in a model stencil path pays generic axis "
+                "handling per call",
             )
 
         if "dtype" in self.scopes and resolved in _DEFAULT_F64_CTORS:

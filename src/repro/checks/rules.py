@@ -10,6 +10,7 @@ DET001    unseeded / global RNG (breaks seed-determinism)
 DET002    wall-clock reads outside the telemetry/workflow layers
 DTY001    dtype discipline in the single-precision hot paths
 MUT001    in-place mutation of function parameters in kernel modules
+ROL001    ``np.roll`` in the model's periodic stencil paths
 LAY001    layout-floating GEMM/einsum operands near ``letkf_transform``
 ASY001    blocking call inside ``async def`` (stalls the event loop)
 ASY002    un-awaited coroutine / fire-and-forget task without a handle
@@ -81,6 +82,16 @@ RULES: dict[str, Rule] = {
                 "kernels must not write into caller-owned arrays: operate on "
                 "a copy, return a new array, or rename the parameter 'out' / "
                 "'*_out' if writing into it is the documented contract"
+            ),
+        ),
+        Rule(
+            code="ROL001",
+            name="roll-in-stencil",
+            summary="np.roll in a model stencil path (model/, grid.py)",
+            hint=(
+                "use grid.periodic_shift(a, shift, axis): the same values "
+                "from one allocation and two slice copies, without "
+                "np.roll's per-call axis normalisation"
             ),
         ),
         Rule(

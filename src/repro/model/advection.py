@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..grid import Grid
+from ..grid import Grid, periodic_shift
 
 __all__ = ["face_value_x", "face_value_y", "flux_divergence", "mass_divergence"]
 
@@ -24,7 +24,7 @@ __all__ = ["face_value_x", "face_value_y", "flux_divergence", "mass_divergence"]
 def _upwind1_face(s: np.ndarray, flux: np.ndarray, axis: int) -> np.ndarray:
     """First-order upwind face value along ``axis`` (periodic)."""
     s_up = s
-    s_dn = np.roll(s, -1, axis=axis)
+    s_dn = periodic_shift(s, -1, axis)
     return np.where(flux >= 0.0, s_up, s_dn)
 
 
@@ -34,9 +34,9 @@ def _upwind3_face(s: np.ndarray, flux: np.ndarray, axis: int) -> np.ndarray:
     F_{i+1/2} = 7/12 (s_i + s_{i+1}) - 1/12 (s_{i-1} + s_{i+2})
                 + sign * 1/12 (3(s_{i+1} - s_i) - (s_{i+2} - s_{i-1}))
     """
-    sm1 = np.roll(s, 1, axis=axis)
-    sp1 = np.roll(s, -1, axis=axis)
-    sp2 = np.roll(s, -2, axis=axis)
+    sm1 = periodic_shift(s, 1, axis)
+    sp1 = periodic_shift(s, -1, axis)
+    sp2 = periodic_shift(s, -2, axis)
     centered = (7.0 * (s + sp1) - (sm1 + sp2)) / 12.0
     upwind = (3.0 * (sp1 - s) - (sp2 - sm1)) / 12.0
     return centered - np.sign(flux) * upwind
@@ -100,8 +100,8 @@ def flux_divergence(
     """
     fx = rhou * face_value_x(s, rhou, scheme)
     fy = rhov * face_value_y(s, rhov, scheme)
-    tend = -(fx - np.roll(fx, 1, axis=-1)) / grid.dx
-    tend -= (fy - np.roll(fy, 1, axis=-2)) / grid.dy
+    tend = -(fx - periodic_shift(fx, 1, -1)) / grid.dx
+    tend -= (fy - periodic_shift(fy, 1, -2)) / grid.dy
 
     # vertical: build the face-flux array with zero boundary fluxes
     fz_int = rhow[..., 1:-1, :, :] * _vertical_face_value(s, rhow, scheme)
@@ -115,6 +115,6 @@ def flux_divergence(
 
 def mass_divergence(grid: Grid, rhou: np.ndarray, rhov: np.ndarray) -> np.ndarray:
     """Horizontal mass-flux divergence (the explicit part of continuity)."""
-    div = (rhou - np.roll(rhou, 1, axis=-1)) / grid.dx
-    div += (rhov - np.roll(rhov, 1, axis=-2)) / grid.dy
+    div = (rhou - periodic_shift(rhou, 1, -1)) / grid.dx
+    div += (rhov - periodic_shift(rhov, 1, -2)) / grid.dy
     return div

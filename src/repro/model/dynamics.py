@@ -34,7 +34,7 @@ import numpy as np
 
 from ..config import ScaleConfig
 from ..constants import GRAV
-from ..grid import Grid
+from ..grid import Grid, periodic_shift
 from .advection import flux_divergence, mass_divergence
 from .reference import ReferenceState
 from .state import HYDROMETEORS, ModelState, WATER_SPECIES
@@ -114,6 +114,15 @@ class HEVIDynamics:
         zs = g.domain.ztop - config.sponge_depth
         frac = np.clip((z_f - zs) / max(config.sponge_depth, 1.0), 0.0, 1.0)
         self._sponge_f = (0.05 * np.sin(0.5 * np.pi * frac) ** 2).astype(g.dtype)[:, None, None]
+        # layer thicknesses in model dtype, and the distance between the
+        # cell centers either side of each z-face (ends repeat a neighbour)
+        self._dz = g.dz.astype(g.dtype)[:, None, None]
+        self._dzf = np.empty(g.nz + 1)
+        self._dzf[1:-1] = g.z_c[1:] - g.z_c[:-1]
+        self._dzf[0] = self._dzf[1]
+        self._dzf[-1] = self._dzf[-2]
+        #: fastest reference sound speed [m/s]
+        self._cs_max = np.sqrt(np.max(reference.cs2_c))
 
     # ------------------------------------------------------------------
     # implicit vertical operator
@@ -124,10 +133,7 @@ class HEVIDynamics:
         g = self.grid
         nz = g.nz
         dz = g.dz  # (nz,) center thicknesses == face-flux denominators
-        dzf = np.empty(nz + 1)
-        dzf[1:-1] = g.z_c[1:] - g.z_c[:-1]
-        dzf[0] = dzf[1]
-        dzf[-1] = dzf[-2]
+        dzf = self._dzf
         thf = self._theta0_f
         c_f = self._dpdrt_f1d
         dt2 = dt * dt
@@ -184,19 +190,18 @@ class HEVIDynamics:
 
         # --- momentum ---------------------------------------------------
         t_mx = flux_divergence(g, rhou, rhov, rhow, u)
-        t_mx -= (np.roll(p_p, -1, axis=-1) - p_p) / g.dx  # gradient at x-face
+        t_mx -= (periodic_shift(p_p, -1, -1) - p_p) / g.dx  # gradient at x-face
         t_my = flux_divergence(g, rhou, rhov, rhow, v)
-        t_my -= (np.roll(p_p, -1, axis=-2) - p_p) / g.dy
+        t_my -= (periodic_shift(p_p, -1, -2) - p_p) / g.dy
 
         # divergence damping (acoustic filter): tend += nu * grad(div),
         # nu scaled by the sound speed and mesh (Skamarock & Klemp 1992)
         if cfg.divergence_damping > 0.0:
-            dwdz = (momz[..., 1:, :, :] - momz[..., :-1, :, :]) / g.dz.astype(g.dtype)[:, None, None]
+            dwdz = (momz[..., 1:, :, :] - momz[..., :-1, :, :]) / self._dz
             div = mass_divergence(g, rhou, rhov) + dwdz
-            cs = np.sqrt(np.max(self.ref.cs2_c))
-            nu = g.dtype.type(cfg.divergence_damping * cs)
-            t_mx += nu * (np.roll(div, -1, axis=-1) - div)  # nu*dx * ddx(div)
-            t_my += nu * (np.roll(div, -1, axis=-2) - div)
+            nu = g.dtype.type(cfg.divergence_damping * self._cs_max)
+            t_mx += nu * (periodic_shift(div, -1, -1) - div)  # nu*dx * ddx(div)
+            t_my += nu * (periodic_shift(div, -1, -2) - div)
 
         tends["momx"] = t_mx
         tends["momy"] = t_my
@@ -229,7 +234,7 @@ class HEVIDynamics:
             theta_p[..., 1:, :, :],
         )
         fz = momz[..., 1:-1, :, :] * thp_face
-        dz = g.dz.astype(g.dtype)[:, None, None]
+        dz = self._dz
         t_rt[..., 0, :, :] -= fz[..., 0, :, :] / dz[0]
         t_rt[..., 1:-1, :, :] -= (fz[..., 1:, :, :] - fz[..., :-1, :, :]) / dz[1:-1]
         t_rt[..., -1, :, :] += fz[..., -1, :, :] / dz[-1]
@@ -260,10 +265,7 @@ class HEVIDynamics:
         fa = {k: v for k, v in fb.items()}  # views; new arrays assigned below
 
         dz = g.dz[:, None, None]
-        dzf = np.empty(g.nz + 1)
-        dzf[1:-1] = g.z_c[1:] - g.z_c[:-1]
-        dzf[0] = dzf[1]
-        dzf[-1] = dzf[-2]
+        dzf = self._dzf
 
         # provisional (explicit-only) center quantities, float64 for the solve
         rhot_star = fb["rhot_p"].astype(np.float64) + dt * E["rhot_p"].astype(np.float64)
@@ -327,5 +329,5 @@ class HEVIDynamics:
     def max_horizontal_cfl(self, state: ModelState, dt: float) -> float:
         """Diagnostic: max acoustic+advective horizontal CFL for ``dt``."""
         u, v, _ = state.velocities()
-        cs = np.sqrt(np.max(self.ref.cs2_c))
+        cs = self._cs_max
         return float(dt * ((np.max(np.abs(u)) + cs) / self.grid.dx + (np.max(np.abs(v)) + cs) / self.grid.dy))

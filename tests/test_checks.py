@@ -3,7 +3,7 @@
 The golden fixtures under ``tests/fixtures/reprolint/`` carry one file
 per rule with positive, negative, and suppressed sites; the directory
 layout arms the path-scoped rules (``letkf/`` -> DTY001+LAY001,
-``model/`` -> MUT001, ``workflow/`` -> DET002 off, ``fleet/`` ->
+``model/`` -> MUT001+ROL001, ``workflow/`` -> DET002 off, ``fleet/`` ->
 ASY001+ASY002; SHM001/RES001/OWN001 apply everywhere). The
 integration tests at the bottom lock in the bit-identity guarantees of
 both runtime sanitizers (array + concurrency) on real cycling runs.
@@ -95,6 +95,18 @@ class TestRuleFixtures:
         assert codes(found) == ["MUT001"] * 5
         assert [f.line for f in found] == [6, 7, 8, 9, 10]
 
+    def test_rol001_roll_in_stencil_paths(self):
+        found = lint_file(FIXTURES / "model" / "rol001.py")
+        assert codes(found) == ["ROL001"] * 2
+        assert [f.line for f in found] == [9, 10]
+        assert "periodic_shift" in found[0].hint
+
+    def test_rol001_scoped_to_model_and_grid(self):
+        src = "import numpy as np\ndef f(a):\n    return np.roll(a, 1, axis=-1)\n"
+        assert codes(lint_source(src, "src/repro/grid.py")) == ["ROL001"]
+        assert codes(lint_source(src, "src/repro/model/advection.py")) == ["ROL001"]
+        assert lint_source(src, "src/repro/radar/pawr.py") == []
+
     def test_lay001_floating_operands(self):
         found = lint_file(FIXTURES / "letkf" / "lay001.py")
         assert codes(found) == ["LAY001"] * 3
@@ -150,6 +162,7 @@ class TestRuleFixtures:
             "det002.py",
             "letkf/dty001.py",
             "model/mut001.py",
+            "model/rol001.py",
             "letkf/lay001.py",
             "fleet/asy001.py",
             "fleet/asy002.py",

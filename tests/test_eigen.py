@@ -4,6 +4,8 @@ import pytest
 from repro.eigen import eigh_batched, eigh_dispatch, eigh_kedv, tridiagonalize_batched
 from repro.eigen.kedv import ql_implicit_batched
 
+from .oracles import kedv_reference
+
 
 def random_symmetric(rng, B, k, dtype=np.float64):
     A = rng.normal(size=(B, k, k)).astype(dtype)
@@ -153,3 +155,65 @@ class TestDispatch:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             eigh_dispatch(np.eye(3)[None], backend="gpu")
+
+
+def _bit_identical(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_families(rng, B, k, dtype):
+    """Named ``(B, k, k)`` batches covering every branch of the solver."""
+    A = letkf_like(rng, B, k, 3 * k, dtype)
+    yield "letkf", A
+    # identity + rank-1: a (k-1)-fold degenerate eigenvalue per matrix
+    v = rng.normal(size=(B, k)).astype(dtype)
+    yield "degenerate", 5 * np.eye(k, dtype=dtype) + v[:, :, None] * v[:, None, :]
+    # below rmin, above rmax and exactly zero next to in-range matrices:
+    # the range guard rescales some rows of the batch and not others
+    fin = np.finfo(dtype)
+    guarded = A.copy()
+    guarded[0] *= np.sqrt(fin.tiny)
+    if B > 3:
+        guarded[1] *= np.sqrt(fin.max) / 4
+        guarded[2] = 0
+    yield "range-guard", guarded
+    yield "non-contiguous", np.concatenate([A, A], axis=2)[:, :, 1 : k + 1][::-1]
+    yield "f-ordered", np.asfortranarray(A)
+
+
+class TestFrozenReference:
+    """The batch-major solver against the frozen pre-refactor kernel."""
+
+    @pytest.mark.parametrize("B", [1, 7, 500])
+    @pytest.mark.parametrize("k", [2, 3, 12, 24])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eigh_kedv_bit_identical(self, dtype, k, B):
+        rng = np.random.default_rng(1000 * k + B)
+        for name, A in _reference_families(rng, B, k, dtype):
+            w0, V0 = kedv_reference.eigh_kedv(A)
+            w1, V1 = eigh_kedv(A)
+            assert _bit_identical(w1, w0), name
+            assert _bit_identical(V1, V0), name
+            # letkf.core._transform's einsums are pinned to this layout
+            assert V1.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("k", [2, 3, 12, 24])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unbatched_call_bit_identical(self, dtype, k):
+        A = letkf_like(np.random.default_rng(k), 1, k, 3 * k, dtype)[0]
+        w0, V0 = kedv_reference.eigh_kedv(A)
+        w1, V1 = eigh_kedv(A)
+        assert w1.shape == (k,) and V1.shape == (k, k)
+        assert _bit_identical(w1, w0) and _bit_identical(V1, V0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stage_entry_points_keep_their_contract(self, dtype):
+        # (B, k) / (B, k-1) / (B, k, k) in and out, as the stage tests
+        # above call them; the batch-major layout never shows
+        A = letkf_like(np.random.default_rng(11), 7, 12, 30, dtype)
+        d, e, Q = tridiagonalize_batched(A)
+        for got, want in zip((d, e, Q), kedv_reference.tridiagonalize_batched(A)):
+            assert _bit_identical(got, want)
+        w0, V0 = kedv_reference.ql_implicit_batched(d, e, Q.copy())
+        w1, V1 = ql_implicit_batched(d, e, Q)
+        assert _bit_identical(w1, w0) and _bit_identical(V1, V0)

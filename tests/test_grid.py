@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.config import reduced_inner_domain
-from repro.grid import Grid
+from repro.grid import Grid, periodic_shift
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +85,29 @@ class TestDifferenceOperators:
         lap = grid.laplacian_h(f)
         assert lap[5, 8, 8] < 0
         assert lap[5, 8, 7] > 0
+
+
+class TestPeriodicShift:
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    @pytest.mark.parametrize("shift", [1, -1, 2, -2])
+    def test_equals_np_roll(self, shift, axis, lead):
+        # extent 3 in both horizontal axes: |shift| = 2 wraps most of it
+        a = np.random.default_rng(0).normal(size=lead + (4, 3, 3))
+        out = periodic_shift(a, shift, axis)
+        assert np.array_equal(out, np.roll(a, shift, axis=axis))
+        assert out.dtype == a.dtype and not np.shares_memory(out, a)
+
+    def test_rejects_the_vertical_axis(self):
+        with pytest.raises(ValueError):
+            periodic_shift(np.zeros((4, 3, 3)), 1, -3)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_difference_operators_equal_their_roll_spelling(self, grid, lead):
+        f = np.random.default_rng(1).normal(size=lead + grid.shape)
+        xm, xp = np.roll(f, 1, axis=-1), np.roll(f, -1, axis=-1)
+        ym, yp = np.roll(f, 1, axis=-2), np.roll(f, -1, axis=-2)
+        assert np.array_equal(grid.ddx_c(f), (xp - xm) / (2.0 * grid.dx))
+        assert np.array_equal(grid.ddy_c(f), (yp - ym) / (2.0 * grid.dy))
+        lap = (xp - 2.0 * f + xm) / grid.dx**2 + (yp - 2.0 * f + ym) / grid.dy**2
+        assert np.array_equal(grid.laplacian_h(f), lap)
