@@ -194,11 +194,14 @@ class HEVIDynamics:
         t_my = flux_divergence(g, rhou, rhov, rhow, v)
         t_my -= (periodic_shift(p_p, -1, -2) - p_p) / g.dy
 
+        # horizontal mass divergence: the damping below and dens_p share it
+        div_h = mass_divergence(g, rhou, rhov)
+
         # divergence damping (acoustic filter): tend += nu * grad(div),
         # nu scaled by the sound speed and mesh (Skamarock & Klemp 1992)
         if cfg.divergence_damping > 0.0:
             dwdz = (momz[..., 1:, :, :] - momz[..., :-1, :, :]) / self._dz
-            div = mass_divergence(g, rhou, rhov) + dwdz
+            div = div_h + dwdz
             nu = g.dtype.type(cfg.divergence_damping * self._cs_max)
             t_mx += nu * (periodic_shift(div, -1, -1) - div)  # nu*dx * ddx(div)
             t_my += nu * (periodic_shift(div, -1, -2) - div)
@@ -220,7 +223,7 @@ class HEVIDynamics:
         tends["momz"] = t_wf
 
         # --- mass (horizontal part only; vertical handled implicitly) ---
-        tends["dens_p"] = -mass_divergence(g, rhou, rhov)
+        tends["dens_p"] = -div_h
 
         # --- rho*theta: horizontal advection + explicit vertical
         #     advection of the *perturbation* theta (the theta0 part is

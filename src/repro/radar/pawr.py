@@ -22,7 +22,78 @@ from .fileformat import encode_volume
 from .reflectivity import dbz_from_state
 from .scan import ScanGeometry
 
-__all__ = ["VolumeScan", "PAWRSimulator", "trilinear_sample"]
+__all__ = ["VolumeScan", "PAWRSimulator", "TrilinearPlan", "trilinear_sample"]
+
+
+class TrilinearPlan:
+    """Trilinear interpolation geometry of fixed sample points on one grid.
+
+    The radar samples the same gates every 30 seconds, so everything that
+    depends only on ``(grid, points)`` — the inside mask, the flat index
+    of each point's lower cell corner, the weights along x, y and z and
+    their complements — is derived once here; :meth:`sample` is then
+    eight flat gathers and one multiply-add chain per field, through
+    scratch buffers the plan owns. Vertical levels are taken as uniform.
+    """
+
+    def __init__(self, grid: Grid, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+        self.grid_shape = grid.shape
+        nz, ny, nx = grid.shape
+        fx = x / grid.dx - 0.5
+        fy = y / grid.dy - 0.5
+        fz = (z - grid.z_c[0]) / float(grid.dz[0])
+
+        i0 = np.floor(fx).astype(np.int64)
+        j0 = np.floor(fy).astype(np.int64)
+        k0 = np.floor(fz).astype(np.int64)
+        self.wx = fx - i0
+        self.wy = fy - j0
+        self.wz = fz - k0
+        self.ux = 1 - self.wx
+        self.uy = 1 - self.wy
+        self.uz = 1 - self.wz
+
+        self.inside = (
+            (i0 >= 0) & (i0 < nx - 1)
+            & (j0 >= 0) & (j0 < ny - 1)
+            & (k0 >= 0) & (k0 < nz - 1)
+        )
+        # outside points gather from the nearest edge cell and are
+        # overwritten with ``fill``; the clip only keeps their index legal
+        self.base = (
+            np.clip(k0, 0, nz - 2) * ny + np.clip(j0, 0, ny - 2)
+        ) * nx + np.clip(i0, 0, nx - 2)
+        # corners in the order they are summed: 000, 001, ... 111 (z y x)
+        self._corners = tuple(
+            (dk * ny * nx + dj * nx + di, wz, wy, wx)
+            for dk, wz in ((0, self.uz), (1, self.wz))
+            for dj, wy in ((0, self.uy), (1, self.wy))
+            for di, wx in ((0, self.ux), (1, self.wx))
+        )
+        self._term = np.empty(self.base.shape)
+        self._acc = np.empty(self.base.shape)
+
+    def sample(self, field: np.ndarray, fill: float = np.nan) -> np.ndarray:
+        """Interpolate a (nz, ny, nx) field at the plan's points.
+
+        Points outside the domain get ``fill``. The result is a new
+        float64 array of the points' shape.
+        """
+        if field.shape != self.grid_shape:
+            raise ValueError(
+                f"field of shape {field.shape} sampled through a plan "
+                f"built for grid shape {self.grid_shape}"
+            )
+        flat = np.ascontiguousarray(field, dtype=np.float64).reshape(-1)
+        term, acc = self._term, self._acc
+        for n, (offset, wz, wy, wx) in enumerate(self._corners):
+            np.take(flat[offset:], self.base, out=term)
+            np.multiply(term, wx, out=term)
+            np.multiply(term, wy, out=term)
+            np.multiply(term, wz, out=acc if n == 0 else term)
+            if n:
+                np.add(acc, term, out=acc)
+        return np.where(self.inside, acc, fill)
 
 
 def trilinear_sample(
@@ -36,51 +107,10 @@ def trilinear_sample(
     """Trilinear interpolation of a (nz, ny, nx) field at scattered points.
 
     Points outside the domain get ``fill``. Vectorized over arbitrary
-    point-array shapes.
+    point-array shapes. One-shot form of :class:`TrilinearPlan`; sample
+    the same points repeatedly through a plan instead.
     """
-    fx = x / grid.dx - 0.5
-    fy = y / grid.dy - 0.5
-    # vertical levels are uniform
-    dz = float(grid.dz[0])
-    fz = (z - grid.z_c[0]) / dz
-
-    i0 = np.floor(fx).astype(np.int64)
-    j0 = np.floor(fy).astype(np.int64)
-    k0 = np.floor(fz).astype(np.int64)
-    wx = fx - i0
-    wy = fy - j0
-    wz = fz - k0
-
-    inside = (
-        (i0 >= 0) & (i0 < grid.nx - 1)
-        & (j0 >= 0) & (j0 < grid.ny - 1)
-        & (k0 >= 0) & (k0 < grid.nz - 1)
-    )
-    i0c = np.clip(i0, 0, grid.nx - 2)
-    j0c = np.clip(j0, 0, grid.ny - 2)
-    k0c = np.clip(k0, 0, grid.nz - 2)
-
-    f = field
-    c000 = f[k0c, j0c, i0c]
-    c001 = f[k0c, j0c, i0c + 1]
-    c010 = f[k0c, j0c + 1, i0c]
-    c011 = f[k0c, j0c + 1, i0c + 1]
-    c100 = f[k0c + 1, j0c, i0c]
-    c101 = f[k0c + 1, j0c, i0c + 1]
-    c110 = f[k0c + 1, j0c + 1, i0c]
-    c111 = f[k0c + 1, j0c + 1, i0c + 1]
-
-    out = (
-        c000 * (1 - wx) * (1 - wy) * (1 - wz)
-        + c001 * wx * (1 - wy) * (1 - wz)
-        + c010 * (1 - wx) * wy * (1 - wz)
-        + c011 * wx * wy * (1 - wz)
-        + c100 * (1 - wx) * (1 - wy) * wz
-        + c101 * wx * (1 - wy) * wz
-        + c110 * (1 - wx) * wy * wz
-        + c111 * wx * wy * wz
-    )
-    return np.where(inside, out, fill)
+    return TrilinearPlan(grid, x, y, z).sample(field, fill)
 
 
 @dataclass
@@ -128,16 +158,15 @@ class PAWRSimulator:
         self.attenuation = attenuation
         self.kdp_correction = kdp_correction
         self._mask = observation_mask(self.geometry)
-        self._points = self.geometry.sample_points()
+        self._plan = TrilinearPlan(grid, *self.geometry.sample_points())
 
     def scan(self, state, t_obs: float) -> VolumeScan:
         """One full volume scan of the given model state at time t_obs."""
-        x, y, z = self._points
         dbz_grid = dbz_from_state(state).astype(np.float64)
         vr_grid = doppler_from_state(state, self.radar).astype(np.float64)
 
-        dbz = trilinear_sample(self.grid, dbz_grid, x, y, z, fill=np.nan)
-        vr = trilinear_sample(self.grid, vr_grid, x, y, z, fill=np.nan)
+        dbz = self._plan.sample(dbz_grid, fill=np.nan)
+        vr = self._plan.sample(vr_grid, fill=np.nan)
 
         valid = self._mask & np.isfinite(dbz)
         dbz = np.where(valid, dbz, DBZ_NO_RAIN)
@@ -151,7 +180,7 @@ class PAWRSimulator:
                 state.dens.astype(np.float64) * state.fields["qr"].astype(np.float64),
                 0.0,
             )
-            rain_ray = trilinear_sample(self.grid, rain, x, y, z, fill=0.0)
+            rain_ray = self._plan.sample(rain, fill=0.0)
             rain_ray = np.where(np.isfinite(rain_ray), rain_ray, 0.0)
             dbz = attenuate_scan(dbz, rain_ray, self.radar.gate_spacing)
             if self.kdp_correction:

@@ -1,6 +1,7 @@
-"""Frozen reference implementations the tests compare the package against.
+"""Reference implementations the tests compare the package against.
 
-A module here is a verbatim copy of production code as it stood before
-an optimisation; it is never imported by ``repro`` and never edited to
-follow it.
+``kedv_reference`` and ``pawr_reference`` are verbatim copies of
+production code as it stood before an optimisation, never edited to
+follow the package; ``realtime_events`` is the independent discrete-event
+form of the Fig.-2 pipeline. Nothing here is imported by ``repro``.
 """

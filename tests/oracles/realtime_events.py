@@ -4,19 +4,20 @@
 pipeline as a max-plus recurrence for speed; this module implements the
 *same semantics* on the :class:`~repro.workflow.events.EventQueue`
 kernel. The two implementations are cross-validated against each other
-in the test suite (identical cost draws must produce identical cycle
-records) — the discrete-event form is the reference semantics, the
-recurrence form is the optimization.
+in ``tests/test_workflow_crossvalidation.py`` (identical cost draws must
+produce identical cycle records) — the discrete-event form is the
+reference semantics, the recurrence form is the optimization. It lives
+with the other oracles because only that test imports it.
 """
 
 from __future__ import annotations
 
-from ..comm.topology import FugakuAllocation
-from ..config import WorkflowConfig
-from ..jitdt.failsafe import FailSafeMonitor
-from .events import EventQueue, Resource
-from .realtime import CycleRecord
-from .scheduler import CycleCosts, StageCostModel
+from repro.comm.topology import FugakuAllocation
+from repro.config import WorkflowConfig
+from repro.jitdt.failsafe import FailSafeMonitor
+from repro.workflow.events import EventQueue, Resource
+from repro.workflow.realtime import CycleRecord
+from repro.workflow.scheduler import CycleCosts, StageCostModel
 
 __all__ = ["EventDrivenWorkflow"]
 

@@ -1,5 +1,7 @@
 """MP-PAWR simulator: forward operators, scan geometry, file format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from repro.radar import (
 from repro.radar.blockage import blockage_mask, grid_observation_mask, range_mask
 from repro.radar.doppler import fall_speed_weighted, radial_velocity, unit_vectors
 from repro.radar.fileformat import volume_nbytes
-from repro.radar.pawr import trilinear_sample
+from repro.radar.pawr import TrilinearPlan, trilinear_sample
+
+from .oracles import pawr_reference
 
 
 class TestReflectivity:
@@ -165,6 +169,99 @@ class TestTrilinear:
         f = np.ones(small_grid.shape)
         v = trilinear_sample(small_grid, f, np.array([-5000.0]), np.array([0.0]), np.array([100.0]), fill=-1.0)
         assert v[0] == -1.0
+
+    def test_foreign_grid_field_rejected(self, small_grid):
+        # the plan gathers through flat indices: a field of another shape
+        # would be read at the wrong cells without an error
+        x = np.array([30000.0]), np.array([40000.0]), np.array([5000.0])
+        plan = TrilinearPlan(small_grid, *x)
+        nz, ny, nx = small_grid.shape
+        for shape in [(nz + 1, ny, nx), (nz, ny, nx + 2), (nz * ny * nx,)]:
+            with pytest.raises(ValueError, match="shape") as err:
+                plan.sample(np.zeros(shape))
+            assert str(shape) in str(err.value) and str(small_grid.shape) in str(err.value)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFrozenScanReference:
+    """`TrilinearPlan` against the pre-plan code in `tests/oracles`, byte for byte."""
+
+    @pytest.fixture(scope="class", params=["float32", "float64"])
+    def nature(self, request, small_scale_config):
+        from repro.model import ScaleRM, convective_sounding, warm_bubble
+
+        m = ScaleRM(replace(small_scale_config, dtype=request.param), convective_sounding(cape_factor=1.1))
+        st = m.initial_state()
+        warm_bubble(st, x0=40000, y0=40000, amplitude=5.0, moisture_boost=0.3)
+        warm_bubble(st, x0=85000, y0=90000, amplitude=4.0, moisture_boost=0.3)
+        st = m.integrate(st, 2100.0)
+        assert st.fields["momx"].dtype == request.param
+        assert st.fields["qr"].max() > 0.0  # the attenuation branch has rain to act on
+        return m.grid, st
+
+    @pytest.mark.parametrize("physics", ["plain", "attenuated+kdp", "attenuated-kdp"])
+    @pytest.mark.parametrize("max_range", [None, 40_000.0])
+    @pytest.mark.parametrize("shape", [(4, 12, 20), (8, 36, 60), (24, 120, 240)])
+    def test_scans_byte_identical(self, nature, shape, max_range, physics):
+        grid, state = nature
+        radar = RadarConfig()
+        if max_range is not None:
+            radar = replace(radar, max_range=max_range)
+        radar = radar.reduced(*shape)
+        kw = dict(attenuation=physics != "plain", kdp_correction=physics != "attenuated-kdp")
+        for seed in (3, 11):
+            new = PAWRSimulator(radar, grid, seed=seed, **kw)
+            old = pawr_reference.PAWRSimulator(radar, grid, seed=seed, **kw)
+            # consecutive scans: the second and third only agree if the
+            # first left the noise generator at the same position
+            for n in range(3):
+                a, b = new.scan(state, 30.0 * n), old.scan(state, 30.0 * n)
+                assert _same_bytes(a.dbz, b.dbz)
+                assert _same_bytes(a.doppler, b.doppler)
+                assert _same_bytes(a.valid, b.valid)
+            assert a.n_valid > 0
+
+    @pytest.mark.parametrize("point_shape", [(257,), (5, 6, 7)])
+    @pytest.mark.parametrize("fill", [np.nan, -7.5])
+    def test_wrapper_matches_reference_on_scattered_points(self, small_grid, point_shape, fill):
+        rng = np.random.default_rng(5)
+        d = small_grid.domain
+        # a fifth of the points fall outside the domain on some axis
+        x = rng.uniform(-0.1 * d.nx * d.dx, 1.1 * d.nx * d.dx, point_shape)
+        y = rng.uniform(-0.1 * d.ny * d.dy, 1.1 * d.ny * d.dy, point_shape)
+        z = rng.uniform(-0.1 * d.ztop, 1.1 * d.ztop, point_shape)
+        for dtype in (np.float32, np.float64):
+            f = rng.normal(size=small_grid.shape).astype(dtype)
+            got = trilinear_sample(small_grid, f, x, y, z, fill=fill)
+            want = pawr_reference.trilinear_sample(small_grid, f, x, y, z, fill=fill)
+            assert _same_bytes(got, want)
+        outside = np.isnan(want) if np.isnan(fill) else want == fill
+        assert 0 < outside.sum() < outside.size
+
+
+class TestScanPlan:
+    def test_scan_builds_no_plan(self, small_grid, small_radar_config, developed_nature, monkeypatch):
+        built = []
+        init = TrilinearPlan.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrilinearPlan, "__init__", counting_init)
+        pawr = PAWRSimulator(small_radar_config, small_grid, seed=1, attenuation=True)
+        assert len(built) == 1
+        for n in range(5):
+            pawr.scan(developed_nature, t_obs=30.0 * n)
+        assert len(built) == 1
+
+    def test_plan_memory_bounded(self, small_grid, small_radar_config):
+        pawr = PAWRSimulator(small_radar_config, small_grid, seed=1)
+        held = {id(a): a.nbytes for a in vars(pawr._plan).values() if isinstance(a, np.ndarray)}
+        assert sum(held.values()) <= 12 * 8 * pawr.geometry.n_samples
 
 
 class TestVolumeScan:

@@ -10,7 +10,8 @@ import pytest
 
 from repro.config import WorkflowConfig
 from repro.workflow import RealtimeWorkflow, StageCostModel
-from repro.workflow.realtime_events import EventDrivenWorkflow
+
+from .oracles.realtime_events import EventDrivenWorkflow
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])
